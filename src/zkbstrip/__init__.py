@@ -23,7 +23,6 @@ from .fields import (
     make_random_field,
 )
 from .geometry import (
-    DirichletBasis,
     StripGeometry,
     coupling_coefficient,
     eigenvalue,
@@ -37,7 +36,6 @@ from .solver import (
     linear_symbol,
     nonlinear_term,
     run,
-    step,
 )
 from .theory import (
     GammaPoint,
@@ -56,7 +54,6 @@ __all__ = [
     "__version__",
     "BlowUpError",
     "DecayFit",
-    "DirichletBasis",
     "Field",
     "GammaPoint",
     "InequalityCheck",
@@ -86,7 +83,6 @@ __all__ = [
     "nonlinear_term",
     "run",
     "sine_transform",
-    "step",
     "tail_mass",
     "verify_gn",
     "verify_steklov",

@@ -11,7 +11,7 @@ energies are summed in mode space where their orthogonality is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,7 +128,7 @@ def sample_field(u: "Field", b: float, t: float, l2: float | None = None,
 
 @dataclass
 class TimeSeries:
-    """Diagnostics history of one run, with provenance."""
+    """Diagnostics history of one run."""
 
     geometry: StripGeometry
     samples: list[NormSample]
@@ -137,7 +137,6 @@ class TimeSeries:
     contaminated_at: float | None = None
     snapshots: list | None = None
     blow_up_time: float | None = None
-    provenance: dict = field(default_factory=dict)
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])

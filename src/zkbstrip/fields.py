@@ -13,6 +13,7 @@ representation itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +21,6 @@ from scipy.fft import irfft, rfft
 
 from .geometry import (
     StripGeometry,
-    cosine_series_on_grid,
     evaluate_mode,
     inverse_sine_transform,
     sine_transform,
@@ -41,12 +41,37 @@ def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
     return inverse_sine_transform(modal, geom.B, axis=1)
 
 
-def parseval_weights(nx: int) -> np.ndarray:
-    """Multiplicity of each rfft slot in the full spectrum."""
-    w = np.full(nx // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    return w
+class ParsevalTables(NamedTuple):
+    """Per-slot weights turning |c[n, j]|**2 into squared L2 norms over
+    the strip: of u (l2), of u_x (dx) and of grad u (grad)."""
+
+    l2: np.ndarray
+    dx: np.ndarray
+    grad: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def parseval_tables(geom: StripGeometry) -> ParsevalTables:
+    """Read-only weight tables for one geometry, computed once."""
+    # every rfft slot but the mean and the Nyquist one stands for a +/- pair
+    mult = np.full(geom.Nx // 2 + 1, 2.0)
+    mult[0] = mult[-1] = 1.0
+    l2 = 2.0 * geom.Lx * mult[:, None]
+    k2 = geom.wavenumbers() ** 2
+    tables = ParsevalTables(
+        l2=l2,
+        dx=l2 * k2[:, None],
+        grad=l2 * (k2[:, None] + geom.eigenvalues()[None, :]),
+    )
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def parseval_sum(weights: np.ndarray, coeffs: np.ndarray) -> float:
+    """Squared norm sum(weights * |coeffs|**2), weights from
+    :func:`parseval_tables`."""
+    return float(np.sum(weights * (coeffs.real**2 + coeffs.imag**2)))
 
 
 class Field:
@@ -111,32 +136,15 @@ class Field:
         lam = self.geometry.eigenvalues()
         return Field(self.geometry, self.coeffs * (-lam)[None, :])
 
-    def dy_values(self) -> np.ndarray:
-        """Grid samples of du/dy (a cosine series, not a Field)."""
-        geom = self.geometry
-        jpi = np.arange(1, geom.Ny + 1) * np.pi / geom.B
-        cos_coeffs = np.sqrt(2.0 / geom.B) * jpi[None, :] * self.coeffs
-        modal = irfft(cos_coeffs * geom.Nx, n=geom.Nx, axis=0)
-        return cosine_series_on_grid(modal, axis=1)
-
     # -- norms -----------------------------------------------------------
 
     def l2sq(self) -> float:
         """Squared L2 norm over the strip, by Parseval."""
-        w = parseval_weights(self.geometry.Nx)
-        return 2.0 * self.geometry.Lx * float(
-            np.sum(w[:, None] * (self.coeffs.real**2 + self.coeffs.imag**2))
-        )
+        return parseval_sum(parseval_tables(self.geometry).l2, self.coeffs)
 
     def gradsq(self) -> float:
         """Squared L2 norm of the gradient, by Parseval."""
-        w = parseval_weights(self.geometry.Nx)
-        k2 = self.geometry.wavenumbers() ** 2
-        lam = self.geometry.eigenvalues()
-        c2 = self.coeffs.real**2 + self.coeffs.imag**2
-        return 2.0 * self.geometry.Lx * float(
-            np.sum(w[:, None] * (k2[:, None] + lam[None, :]) * c2)
-        )
+        return parseval_sum(parseval_tables(self.geometry).grad, self.coeffs)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst
+from scipy.fft import dst
 
 
 @dataclass(frozen=True)
@@ -97,28 +97,8 @@ def evaluate_mode(j: int, y, B: float):
     return float(vals) if vals.ndim == 0 else vals
 
 
-@dataclass(frozen=True)
-class DirichletBasis:
-    """First Ny modes of the Dirichlet eigenproblem on (0, B)."""
-
-    B: float
-    Ny: int
-
-    @property
-    def modes(self) -> list[tuple[int, float, float]]:
-        """Ordered (j, lambda_j, normalization) triples."""
-        norm = np.sqrt(2.0 / self.B)
-        return [(j, eigenvalue(j, self.B), norm) for j in range(1, self.Ny + 1)]
-
-    def sample(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of mode values, shape (len(y), Ny)."""
-        return np.column_stack(
-            [evaluate_mode(j, y, self.B) for j in range(1, self.Ny + 1)]
-        )
-
-
 # ---------------------------------------------------------------------------
-# Sine / cosine transforms on the interior grid
+# Sine transforms on the interior grid
 # ---------------------------------------------------------------------------
 
 _MATMUL_LIMIT = 64  # below this mode count a dense DST beats the FFT path
@@ -152,20 +132,6 @@ def sine_transform(values: np.ndarray, B: float, axis: int = -1) -> np.ndarray:
 def inverse_sine_transform(coeffs: np.ndarray, B: float, axis: int = -1) -> np.ndarray:
     """Coefficients of the orthonormal sine modes -> interior grid samples."""
     return _apply_dst1(coeffs, axis) * (np.sqrt(2.0 / B) / 2.0)
-
-
-def cosine_series_on_grid(coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Evaluate sum_j c_j*cos(j*pi*y/B) on the interior grid y_m = m*B/(Ny+1).
-
-    ``coeffs`` holds c_1..c_Ny along ``axis`` (the same mode count as the
-    sine transforms); used to evaluate y-derivatives of sine series.
-    """
-    coeffs = np.moveaxis(coeffs, axis, -1)
-    ny = coeffs.shape[-1]
-    padded = np.zeros(coeffs.shape[:-1] + (ny + 2,), dtype=coeffs.dtype)
-    padded[..., 1:-1] = coeffs / 2.0
-    vals = dct(padded, type=1, axis=-1)[..., 1:-1]
-    return np.moveaxis(vals, -1, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ In the Fourier x sine-mode y representation every mode obeys
     dc/dt = sigma(k, lambda) * c - (u u_x)^hat,
     sigma = -k**2 + i*k*(k**2 + lambda - c),
 
-so the linear part is diagonal and is integrated exactly by the default
+so the linear part is diagonal and is integrated exactly by a
 fourth-order exponential Runge-Kutta scheme; the quadratic term is formed
 pseudospectrally as 0.5*d/dx(u^2) with 2/3-rule dealiasing, which keeps
 the discrete pairing (u*u_x, u) at exact zero.
@@ -25,10 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import TimeSeries, sample_field
-from .fields import Field, parseval_weights, to_grid, to_spectral
+from .fields import Field, parseval_sum, parseval_tables, to_grid, to_spectral
 from .geometry import StripGeometry
 
-SCHEMES = ("exponential-RK4", "IMEX-CNAB2")
 DISPERSION_SANITY_LIMIT = 50.0
 BLOWUP_NORM_FACTOR = 1e6
 
@@ -52,7 +51,6 @@ class SolverConfig:
 
     dt: float
     t_end: float
-    scheme: str = "exponential-RK4"
     dealias: bool = True
     convection: int = 0
     output_every: int = 1
@@ -64,8 +62,6 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.convection not in (0, 1):
             raise ValueError(f"convection flag must be 0 or 1, got {self.convection}")
         if self.output_every < 1:
@@ -166,31 +162,13 @@ class Stepper:
         h = cfg.dt
         z = h * sigma
         self.E = np.exp(z)
-        if cfg.scheme == "exponential-RK4":
-            self.E2 = np.exp(z / 2.0)
-            p1h, _, _ = _phi123(z / 2.0)
-            p1, p2, p3 = _phi123(z)
-            self.M = (h / 2.0) * p1h
-            self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-            self.f2 = h * (p2 - 2.0 * p3)
-            self.f3 = h * (4.0 * p3 - p2)
-        else:  # IMEX-CNAB2
-            self.cn_inv = 1.0 / (1.0 - z / 2.0)
-            self.cn_fwd = (1.0 + z / 2.0) * self.cn_inv
-
-        w = parseval_weights(geom.Nx)
-        self._pw = 2.0 * geom.Lx * w[:, None]
-        self._pw_kx2 = self._pw * (k**2)[:, None]
-
-    # -- norms on raw coefficients --------------------------------------
-
-    def l2sq(self, c: np.ndarray) -> float:
-        return float(np.sum(self._pw * (c.real**2 + c.imag**2)))
-
-    def dxsq(self, c: np.ndarray) -> float:
-        return float(np.sum(self._pw_kx2 * (c.real**2 + c.imag**2)))
-
-    # -- one step -----------------------------------------------------------
+        self.E2 = np.exp(z / 2.0)
+        p1h, _, _ = _phi123(z / 2.0)
+        p1, p2, p3 = _phi123(z)
+        self.M = (h / 2.0) * p1h
+        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+        self.f2 = h * (p2 - 2.0 * p3)
+        self.f3 = h * (4.0 * p3 - p2)
 
     def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
         return _nonlinear_rhs(self.geom, c, self.mask)
@@ -206,18 +184,6 @@ class Stepper:
         cc = self.E2 * a + self.M * (2.0 * nb - n0)
         nc = self.nonlinear_rhs(cc)
         return self.E * c + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
-
-    def step_cnab2(
-        self, c: np.ndarray, n_prev: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        if not self.cfg.nonlinear:
-            return self.cn_fwd * c, None
-        n_cur = self.nonlinear_rhs(c)
-        if n_prev is None:
-            n_prev = n_cur  # first step falls back to first order
-        h = self.cfg.dt
-        c_new = self.cn_fwd * c + h * self.cn_inv * (1.5 * n_cur - 0.5 * n_prev)
-        return c_new, n_cur
 
 
 @lru_cache(maxsize=8)
@@ -237,25 +203,6 @@ def nonlinear_term(u: Field, dealias: bool = True) -> Field:
     if not np.all(np.isfinite(out.view(np.float64))):
         raise FloatingPointError("non-finite values in nonlinear term")
     return Field(u.geometry, out)
-
-
-def step(state: Field, t: float, cfg: SolverConfig) -> Field:
-    """Advance one step of length cfg.dt (the equation is autonomous).
-
-    For multi-step integration prefer :func:`run`, which reuses the
-    precomputed stepper and tracks diagnostics.
-    """
-    check_dispersion_sanity(state.geometry, cfg)
-    st = _cached_stepper(state.geometry, cfg)
-    c = state.coeffs * st.mask if cfg.dealias else state.coeffs
-    if cfg.scheme == "exponential-RK4":
-        c_new = st.step_erk4(c)
-    else:
-        c_new, _ = st.step_cnab2(c, None)
-    if not np.all(np.isfinite(c_new.view(np.float64))):
-        raise BlowUpError(t + cfg.dt, math.inf,
-                          TimeSeries(state.geometry, [], cfg, status="blow-up"))
-    return Field(state.geometry, c_new)
 
 
 def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeSeries:
@@ -284,10 +231,11 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
         snapshots=[] if store_snapshots else None,
     )
 
-    l2_0 = st.l2sq(c)
+    pw = parseval_tables(geom)
+    l2_0 = parseval_sum(pw.l2, c)
     blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
     diss = 0.0
-    f_prev = 2.0 * st.dxsq(c)
+    f_prev = 2.0 * parseval_sum(pw.dx, c)
 
     def record(step_idx: int, l2_now: float):
         f = Field(geom, c.copy())
@@ -300,26 +248,21 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
             series.snapshots.append(Field(geom, f.coeffs))
 
     record(0, l2_0)
-    n_prev = None
     for n in range(1, n_steps + 1):
-        if cfg.scheme == "exponential-RK4":
-            c = st.step_erk4(c)
-        else:
-            c, n_prev = st.step_cnab2(c, n_prev)
-
-        l2_now = st.l2sq(c)
+        c = st.step_erk4(c)
+        l2_now = parseval_sum(pw.l2, c)
         if not math.isfinite(l2_now) or l2_now > blow_limit:
             series.status = "blow-up"
             series.blow_up_time = n * cfg.dt
             raise BlowUpError(n * cfg.dt, l2_now, series)
 
         if cfg.diss_per_step:
-            f_now = 2.0 * st.dxsq(c)
+            f_now = 2.0 * parseval_sum(pw.dx, c)
             diss += 0.5 * cfg.dt * (f_prev + f_now)
             f_prev = f_now
         if n % cfg.output_every == 0 or n == n_steps:
             if not cfg.diss_per_step:
-                f_now = 2.0 * st.dxsq(c)
+                f_now = 2.0 * parseval_sum(pw.dx, c)
                 dt_snap = (n * cfg.dt) - series.samples[-1].t
                 diss += 0.5 * dt_snap * (f_prev + f_now)
                 f_prev = f_now

@@ -42,7 +42,6 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(json.dumps(base_doc()))
-        assert cfg.solver.scheme == "exponential-RK4"
         assert cfg.solver.dealias is True
         assert cfg.solver.convection == 0
         assert cfg.experiment.fit_window == "last-half-clean"
@@ -88,6 +87,34 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
+
+    def test_scheme_accepts_only_etdrk4(self):
+        doc = base_doc(solver={"scheme": "exponential-RK4"})
+        named = parse_config(json.dumps(doc))
+        assert named.solver == parse_config(json.dumps(base_doc())).solver
+        doc = base_doc(solver={"scheme": "IMEX-CNAB2"})
+        with pytest.raises(ConfigError, match="solver.scheme"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("block,key,literal", [
+        ("geometry", "Nx", "Infinity"),
+        ("geometry", "Ny", "NaN"),
+        ("geometry", "Lx", "1e400"),
+        ("geometry", "b", "NaN"),
+        ("solver", "t_end", "Infinity"),
+        ("solver", "t_end", "NaN"),
+        ("solver", "output_every", "Infinity"),
+        ("solver", "output_every", "2.7"),
+        ("solver", "convection", "1.5"),
+        ("initial", "j", "1.9"),
+        ("initial", "amplitude", "-Infinity"),
+    ])
+    def test_non_finite_or_non_integer_names_path(self, block, key, literal):
+        doc = base_doc()
+        doc[block][key] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+        with pytest.raises(ConfigError, match=f"{block}.{key}"):
+            parse_config(text)
 
     def test_bool_is_not_number(self):
         doc = base_doc()
@@ -333,6 +360,19 @@ class TestSweepCommand:
         assert all(r.endswith("pass") for r in compliant)
         outside = [r for r in rows if r.split(",")[4] == "false"]
         assert all(r.endswith("outside theorem scope") for r in outside)
+
+    @pytest.mark.parametrize("widths,amps", [
+        ("-1", "0.5"), ("inf", "0.5"), ("0", "0.5"),
+        (str(math.pi), "-0.5"), (str(math.pi), "nan"),
+    ])
+    def test_bad_width_or_amplitude_is_usage_error(self, tmp_path, capsys,
+                                                   widths, amps):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", "paper-ref", "--B", widths,
+                     "--amps", amps, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()  # rejected before any cell ran
 
     def test_parallel_workers_match_serial(self, tmp_path):
         doc = base_doc(solver={"t_end": 0.5, "output_every": 10})

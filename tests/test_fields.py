@@ -68,19 +68,6 @@ class TestDerivatives:
         expected = 2 * np.cos(2 * x)[:, None] * w3[None, :]
         assert np.max(np.abs(f.dx().values - expected)) < 1e-12
 
-    def test_dy_values(self):
-        g = StripGeometry(B=2.0, Lx=np.pi, Nx=32, Ny=24)
-        x, y = g.x_grid(), g.y_grid()
-        f = Field.from_values(
-            g, np.cos(x)[:, None] * evaluate_mode(2, y, g.B)[None, :]
-        )
-        jpi = 2 * np.pi / g.B
-        expected = (
-            np.cos(x)[:, None]
-            * (np.sqrt(2 / g.B) * jpi * np.cos(jpi * y))[None, :]
-        )
-        assert np.max(np.abs(f.dy_values() - expected)) < 1e-12
-
     def test_dyy_is_minus_lambda(self):
         g = StripGeometry(B=1.7, Lx=2.0, Nx=16, Ny=12)
         u = make_random_field(g, seed=1)

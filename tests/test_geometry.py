@@ -4,7 +4,6 @@ from scipy.fft import dst
 from scipy.integrate import quad
 
 from zkbstrip import (
-    DirichletBasis,
     StripGeometry,
     coupling_coefficient,
     eigenvalue,
@@ -74,18 +73,12 @@ class TestBasis:
     def test_orthonormal_gram(self):
         # interior-grid quadrature reproduces the identity Gram matrix
         B, Ny = 2.7, 256
-        basis = DirichletBasis(B, Ny)
         geom = StripGeometry(B=B, Lx=1.0, Nx=4, Ny=Ny)
-        W = basis.sample(geom.y_grid())
+        W = np.column_stack(
+            [evaluate_mode(j, geom.y_grid(), B) for j in range(1, Ny + 1)]
+        )
         gram = geom.dy * (W.T @ W)
         assert np.max(np.abs(gram - np.eye(Ny))) < 1e-10
-
-    def test_modes_listing(self):
-        basis = DirichletBasis(np.pi, 3)
-        js, lams, norms = zip(*basis.modes)
-        assert js == (1, 2, 3)
-        assert lams == pytest.approx((1.0, 4.0, 9.0))
-        assert norms == pytest.approx((np.sqrt(2 / np.pi),) * 3)
 
 
 class TestSineTransform:
