@@ -225,7 +225,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("type mismatch at initial.kind: expected string")
     values = ini.get("values")
     if values is not None:
-        values = np.asarray(values, dtype=float)
+        try:
+            values = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                "invalid value at initial.values: expected a rectangular array "
+                f"of numbers ({exc})") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(
+                "invalid value at initial.values: expected finite numbers")
     try:
         initial = InitialData(
             kind=kind,
@@ -619,9 +627,10 @@ def cmd_sweep(args) -> int:
         # smallness verdict raise on these outside the cell's error handling
         if not all(math.isfinite(B) and B > 0 for B in widths):
             raise ConfigError(f"widths must be finite and > 0, got {args.B}")
-        if not all(math.isfinite(a) and a >= 0 for a in amps):
+        # zero data has no decay rate to fit
+        if not all(math.isfinite(a) and a > 0 for a in amps):
             raise ConfigError(
-                f"amplitude fractions must be finite and >= 0, got {args.amps}")
+                f"amplitude fractions must be finite and > 0, got {args.amps}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

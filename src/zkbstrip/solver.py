@@ -13,7 +13,10 @@ In the Fourier x sine-mode y representation every mode obeys
 so the linear part is diagonal and is integrated exactly by a
 fourth-order exponential Runge-Kutta scheme; the quadratic term is formed
 pseudospectrally as 0.5*d/dx(u^2) with 2/3-rule dealiasing, which keeps
-the discrete pairing (u*u_x, u) at exact zero.
+the discrete pairing (u*u_x, u) at exact zero.  The stepper's state holds
+only the coefficients inside the 2/3 band, y modes by x slots with x
+contiguous; the full (Nx//2+1, Ny) layout of a Field is rebuilt only for
+output.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft, rfft
 
 from .diagnostics import TimeSeries, sample_field
-from .fields import Field, parseval_sum, parseval_tables, to_grid, to_spectral
-from .geometry import StripGeometry
+from .fields import Field, parseval_sum, parseval_tables
+from .geometry import StripGeometry, _sine_matrix
 
 DISPERSION_SANITY_LIMIT = 50.0
 BLOWUP_NORM_FACTOR = 1e6
@@ -78,29 +82,65 @@ class BlowUpError(RuntimeError):
         self.series = series
 
 
-@lru_cache(maxsize=32)
-def _dealias_mask(geom: StripGeometry, dealias: bool) -> np.ndarray:
-    """0/1 mask over (k, j) slots; keeps |n| < Nx/3 and j <= 2*Ny/3.
+def band_shape(geom: StripGeometry, dealias: bool) -> tuple[int, int]:
+    """(nb, nj): the x slots n < Nx/3 and the y modes j <= 2*Ny/3 kept
+    by the 2/3 rule, or all (Nx//2+1, Ny) of them without dealiasing.
 
     The first mode of each direction is always retained so degenerate
     grids (Ny in {1, 2}) stay usable.
     """
-    nslots = geom.Nx // 2 + 1
-    if dealias:
-        keep_x = np.arange(nslots) < geom.Nx / 3.0
-        keep_y = np.arange(1, geom.Ny + 1) <= max(1, (2 * geom.Ny) // 3)
-    else:
-        keep_x = np.ones(nslots, bool)
-        keep_y = np.ones(geom.Ny, bool)
-    return np.outer(keep_x, keep_y).astype(float)
+    if not dealias:
+        return geom.Nx // 2 + 1, geom.Ny
+    return (geom.Nx + 2) // 3, max(1, (2 * geom.Ny) // 3)
 
 
-def _nonlinear_rhs(geom: StripGeometry, c: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """-(u u_x)^hat from coefficients, via -0.5*i*k*(u^2)^hat."""
-    u = to_grid(c, geom)
-    c2 = to_spectral(u * u, geom)
-    k = geom.wavenumbers()
-    return (-0.5j) * k[:, None] * c2 * mask
+class _Band:
+    """The retained band of coefficients as a (nj, nb) array, x contiguous.
+
+    Only the first nj y modes and nb x slots are ever non-zero in a run,
+    so the stepper keeps just those.  The grid is reached by an x irfft
+    of the nj rows (which zero-pads the missing slots) followed by one
+    (Ny, nj) synthesis product in y; the way back is one (nj, Ny)
+    analysis product and an x rfft of the nj rows.  Every scale factor
+    of ``fields.to_grid``/``to_spectral`` (Nx and the sine-transform
+    normalisations) sits in the two y matrices, and the derivative of
+    the product in one per-slot factor.
+    """
+
+    def __init__(self, geom: StripGeometry, dealias: bool):
+        nb, nj = band_shape(geom, dealias)
+        self.geom = geom
+        self.nb, self.nj = nb, nj
+        sines = _sine_matrix(geom.Ny)[:, :nj]
+        self.synthesis = (geom.Nx * math.sqrt(2.0 / geom.B)) * sines
+        self.analysis = sines.T * (
+            math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx))
+        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
+        self.slot = (-0.5j) * geom.wavenumbers()[:nb]
+        for table in (self.synthesis, self.analysis, self.slot):
+            table.setflags(write=False)  # shared through the cache
+
+    def gather(self, full: np.ndarray) -> np.ndarray:
+        """Full-layout (Nx//2+1, Ny) coefficients, or a Parseval table,
+        -> contiguous band array (a copy)."""
+        return np.ascontiguousarray(full[: self.nb, : self.nj].T)
+
+    def scatter(self, a: np.ndarray) -> np.ndarray:
+        """Band array -> full (Nx//2+1, Ny) coefficients, zero off the band."""
+        g = self.geom
+        full = np.zeros((g.Nx // 2 + 1, g.Ny), dtype=complex)
+        full[: self.nb, : self.nj] = a.T
+        return full
+
+    def rhs(self, a: np.ndarray) -> np.ndarray:
+        """-(u u_x)^hat on the band, from the band coefficients of u."""
+        u = self.synthesis @ irfft(a, n=self.geom.Nx, axis=1)
+        return rfft(self.analysis @ (u * u), axis=1)[:, : self.nb] * self.slot
+
+
+@lru_cache(maxsize=32)
+def _band(geom: StripGeometry, dealias: bool) -> _Band:
+    return _Band(geom, dealias)
 
 
 def check_dispersion_sanity(geom: StripGeometry, cfg: SolverConfig):
@@ -110,10 +150,9 @@ def check_dispersion_sanity(geom: StripGeometry, cfg: SolverConfig):
     dominates the retained band; the exponential integrator itself is
     exact on the linear part at any dt.
     """
-    k = geom.wavenumbers()
-    keep = _dealias_mask(geom, cfg.dealias)[:, 0] > 0
+    k = geom.wavenumbers()[: band_shape(geom, cfg.dealias)[0]]
     lam1 = geom.eigenvalues()[0]
-    stiff = float(np.max(np.abs(k[keep]) * (k[keep] ** 2 + lam1 - cfg.convection)))
+    stiff = float(np.max(np.abs(k) * (k**2 + lam1 - cfg.convection)))
     if cfg.dt * stiff >= DISPERSION_SANITY_LIMIT:
         raise ValueError(
             f"dt*max|Im sigma| = {cfg.dt * stiff:.1f} exceeds "
@@ -147,17 +186,22 @@ def _phi123(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class Stepper:
-    """Precomputed coefficients and transforms for one (geometry, config)."""
+    """Precomputed coefficients and transforms for one (geometry, config).
+
+    It steps the band array of :class:`_Band`: every coefficient table
+    below has its (nj, nb) shape.
+    """
 
     def __init__(self, geom: StripGeometry, cfg: SolverConfig):
         self.geom = geom
         self.cfg = cfg
-        k = geom.wavenumbers()
-        lam = geom.eigenvalues()
-        self.mask = _dealias_mask(geom, cfg.dealias)
-        sigma = (-(k**2))[:, None] + 1j * k[:, None] * (
-            (k**2)[:, None] + lam[None, :] - cfg.convection
-        )
+        self.band = _band(geom, cfg.dealias)
+        k = geom.wavenumbers()[None, : self.band.nb]
+        lam = geom.eigenvalues()[: self.band.nj, None]
+        sigma = -(k**2) + 1j * k * (k**2 + lam - cfg.convection)
+        pw = parseval_tables(geom)
+        self.w_l2 = self.band.gather(pw.l2)
+        self.w_dx = self.band.gather(pw.dx)
 
         h = cfg.dt
         z = h * sigma
@@ -167,23 +211,24 @@ class Stepper:
         p1, p2, p3 = _phi123(z)
         self.M = (h / 2.0) * p1h
         self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-        self.f2 = h * (p2 - 2.0 * p3)
+        self.f2 = 2.0 * h * (p2 - 2.0 * p3)  # weight of na + nb
         self.f3 = h * (4.0 * p3 - p2)
 
     def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
-        return _nonlinear_rhs(self.geom, c, self.mask)
+        return self.band.rhs(c)
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
             return self.E * c
+        e2c = self.E2 * c
         n0 = self.nonlinear_rhs(c)
-        a = self.E2 * c + self.M * n0
+        a = e2c + self.M * n0
         na = self.nonlinear_rhs(a)
-        b = self.E2 * c + self.M * na
+        b = e2c + self.M * na
         nb = self.nonlinear_rhs(b)
         cc = self.E2 * a + self.M * (2.0 * nb - n0)
         nc = self.nonlinear_rhs(cc)
-        return self.E * c + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
+        return self.E * c + self.f1 * n0 + self.f2 * (na + nb) + self.f3 * nc
 
 
 @lru_cache(maxsize=8)
@@ -192,14 +237,17 @@ def _cached_stepper(geom: StripGeometry, cfg: SolverConfig) -> Stepper:
 
 
 def nonlinear_term(u: Field, dealias: bool = True) -> Field:
-    """Pseudospectral u*u_x.
+    """Pseudospectral u*u_x of the band projection of u.
 
-    With dealiasing on, the result is the exact band-limited x-projection
-    of u*u_x and the 2/3-filtered sine projection in y, and the discrete
-    pairing (u*u_x, u) over the grid vanishes identically.
+    Like the stepper's state, u is first cut to the retained band
+    (:func:`band_shape`), so modes of u outside it do not enter; without
+    dealiasing the band is every mode.  With dealiasing on, the result
+    is the exact band-limited x-projection of u*u_x and the 2/3-filtered
+    sine projection in y, and the discrete pairing (u*u_x, u) over the
+    grid vanishes identically.
     """
-    mask = _dealias_mask(u.geometry, dealias)
-    out = -_nonlinear_rhs(u.geometry, u.coeffs, mask)
+    band = _band(u.geometry, dealias)
+    out = band.scatter(-band.rhs(band.gather(u.coeffs)))
     if not np.all(np.isfinite(out.view(np.float64))):
         raise FloatingPointError("non-finite values in nonlinear term")
     return Field(u.geometry, out)
@@ -216,7 +264,7 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
     geom = u0.geometry
     check_dispersion_sanity(geom, cfg)
     st = _cached_stepper(geom, cfg)
-    c = u0.coeffs * st.mask if cfg.dealias else u0.coeffs.copy()
+    c = st.band.gather(u0.coeffs)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
@@ -231,14 +279,13 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
         snapshots=[] if store_snapshots else None,
     )
 
-    pw = parseval_tables(geom)
-    l2_0 = parseval_sum(pw.l2, c)
+    l2_0 = parseval_sum(st.w_l2, c)
     blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
     diss = 0.0
-    f_prev = 2.0 * parseval_sum(pw.dx, c)
+    f_prev = 2.0 * parseval_sum(st.w_dx, c)
 
     def record(step_idx: int, l2_now: float):
-        f = Field(geom, c.copy())
+        f = Field(geom, st.band.scatter(c))
         series.samples.append(
             sample_field(f, geom.b, t=step_idx * cfg.dt, l2=l2_now, diss_cum=diss)
         )
@@ -250,19 +297,19 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
     record(0, l2_0)
     for n in range(1, n_steps + 1):
         c = st.step_erk4(c)
-        l2_now = parseval_sum(pw.l2, c)
+        l2_now = parseval_sum(st.w_l2, c)
         if not math.isfinite(l2_now) or l2_now > blow_limit:
             series.status = "blow-up"
             series.blow_up_time = n * cfg.dt
             raise BlowUpError(n * cfg.dt, l2_now, series)
 
         if cfg.diss_per_step:
-            f_now = 2.0 * parseval_sum(pw.dx, c)
+            f_now = 2.0 * parseval_sum(st.w_dx, c)
             diss += 0.5 * cfg.dt * (f_prev + f_now)
             f_prev = f_now
         if n % cfg.output_every == 0 or n == n_steps:
             if not cfg.diss_per_step:
-                f_now = 2.0 * parseval_sum(pw.dx, c)
+                f_now = 2.0 * parseval_sum(st.w_dx, c)
                 dt_snap = (n * cfg.dt) - series.samples[-1].t
                 diss += 0.5 * dt_snap * (f_prev + f_now)
                 f_prev = f_now

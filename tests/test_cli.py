@@ -108,6 +108,9 @@ class TestParseConfig:
         ("solver", "convection", "1.5"),
         ("initial", "j", "1.9"),
         ("initial", "amplitude", "-Infinity"),
+        ("initial", "values", '[["a"]]'),
+        ("initial", "values", "[[1.0, 2.0], [3.0]]"),
+        ("initial", "values", "[[1.0, NaN]]"),
     ])
     def test_non_finite_or_non_integer_names_path(self, block, key, literal):
         doc = base_doc()
@@ -207,6 +210,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg_path, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg_path, "--out", str(out2)]) == 0
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+
+    def test_non_numeric_values_is_usage_error(self, tmp_path, capsys):
+        doc = base_doc(initial={"kind": "custom_samples", "values": [["a"]]})
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "initial.values" in err
+        assert not out.exists()
 
     def test_contaminated_run_exit_code(self, tmp_path):
         doc = base_doc(
@@ -363,7 +376,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("widths,amps", [
         ("-1", "0.5"), ("inf", "0.5"), ("0", "0.5"),
-        (str(math.pi), "-0.5"), (str(math.pi), "nan"),
+        (str(math.pi), "-0.5"), (str(math.pi), "nan"), (str(math.pi), "0"),
     ])
     def test_bad_width_or_amplitude_is_usage_error(self, tmp_path, capsys,
                                                    widths, amps):

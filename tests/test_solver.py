@@ -16,8 +16,26 @@ from zkbstrip import (
     run,
     weighted_inner,
 )
+from zkbstrip.fields import to_grid, to_spectral
 from zkbstrip.geometry import coupling_coefficient, sine_transform
-from zkbstrip.solver import _dealias_mask, _nonlinear_rhs, check_dispersion_sanity
+from zkbstrip.solver import _phi123, check_dispersion_sanity
+
+
+def band_mask(g: StripGeometry, dealias: bool) -> np.ndarray:
+    """Full-layout 0/1 mask of the 2/3 rule: n < Nx/3, j <= max(1, 2*Ny//3)."""
+    mask = np.ones((g.Nx // 2 + 1, g.Ny))
+    if dealias:
+        mask[np.arange(g.Nx // 2 + 1) >= g.Nx / 3.0, :] = 0.0
+        mask[:, max(1, 2 * g.Ny // 3):] = 0.0
+    return mask
+
+
+def reference_rhs(c: np.ndarray, g: StripGeometry, dealias: bool) -> np.ndarray:
+    """-(u u_x)^hat in the full coefficient layout, through the full
+    transforms, on the band projection of c."""
+    mask = band_mask(g, dealias)
+    u = to_grid(c * mask, g)
+    return (-0.5j) * g.wavenumbers()[:, None] * to_spectral(u * u, g) * mask
 
 
 class TestLinearSymbol:
@@ -75,7 +93,9 @@ class TestLinearExactness:
         k = g.wavenumbers()
         lam = g.eigenvalues()
         sigma = np.array([[linear_symbol(kk, ll) for ll in lam] for kk in k])
-        expected = u.coeffs * _dealias_mask(g, True) * np.exp(sigma * 0.1)
+        # the 2/3 band of a 64x8 grid: slots n < 64/3 and modes j <= 5
+        expected = np.zeros_like(u.coeffs)
+        expected[:22, :5] = u.coeffs[:22, :5] * np.exp(sigma[:22, :5] * 0.1)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(final - expected)) < 1e-13 * max(scale, 1.0)
 
@@ -96,6 +116,24 @@ class TestLinearExactness:
         series = run(f, SolverConfig(dt=0.01, t_end=0.01), store_snapshots=True)
         assert len(series.snapshots) == 2
         assert np.all(series.snapshots[-1].coeffs == 0.0)
+
+    def test_dealias_off_keeps_modes_outside_band(self):
+        # n = 12 lies outside the 2/3 band n < 32/3 of a 32-point grid
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=32, Ny=4)
+        f0, _, _ = make_initial_field(
+            InitialData(kind="single_mode", amplitude=1.0, k=12.0, j=1), g
+        )
+        finals = {}
+        for dealias in (False, True):
+            cfg = SolverConfig(dt=1e-3, t_end=0.01, nonlinear=False,
+                               dealias=dealias, output_every=10)
+            finals[dealias] = run(f0, cfg, store_snapshots=True).snapshots[-1]
+        ratio = finals[False].coeffs[12, 0] / f0.coeffs[12, 0]
+        assert ratio == pytest.approx(np.exp(linear_symbol(12.0, 1.0) * 0.01),
+                                      rel=1e-13)
+        # only the sampling round-off inside the band is left
+        assert np.all(finals[True].coeffs[11:, :] == 0.0)
+        assert np.max(np.abs(finals[True].coeffs)) < 1e-15
 
     def test_convection_switch(self):
         # with c=1 the k=1, lam=1 mode rotates at k*(k^2+lam-1) = 1
@@ -142,6 +180,57 @@ class TestNonlinearTerm:
         out = nonlinear_term(u, dealias=True)
         assert np.all(out.coeffs[16:, :] == 0.0)  # n >= Nx/3
         assert np.all(out.coeffs[:, 8:] == 0.0)   # j > 2*Ny/3
+
+
+def random_coeffs(g: StripGeometry, seed: int) -> np.ndarray:
+    """Coefficients of a real field with every slot and mode filled."""
+    rng = np.random.default_rng(seed)
+    shape = (g.Nx // 2 + 1, g.Ny)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[[0, -1]] = c[[0, -1]].real  # the mean and Nyquist slots are real
+    return c
+
+
+def reference_etdrk4_step(c: np.ndarray, g: StripGeometry, dt: float,
+                          dealias: bool) -> np.ndarray:
+    """One ETDRK4 step in the full layout, from the band projection of c."""
+    k = g.wavenumbers()[:, None]
+    z = dt * (-(k**2) + 1j * k * (k**2 + g.eigenvalues()[None, :]))
+    (p1h, _, _), (p1, p2, p3) = _phi123(z / 2.0), _phi123(z)
+    E, E2, M = np.exp(z), np.exp(z / 2.0), (dt / 2.0) * p1h
+    c = c * band_mask(g, dealias)
+    n0 = reference_rhs(c, g, dealias)
+    a = E2 * c + M * n0
+    na = reference_rhs(a, g, dealias)
+    nb = reference_rhs(E2 * c + M * na, g, dealias)
+    nc = reference_rhs(E2 * a + M * (2.0 * nb - n0), g, dealias)
+    return (E * c + dt * (p1 - 3.0 * p2 + 4.0 * p3) * n0
+            + 2.0 * dt * (p2 - 2.0 * p3) * (na + nb) + dt * (4.0 * p3 - p2) * nc)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("Nx,Ny", [(4, 1), (4, 2), (4, 3), (10, 7), (48, 12)])
+class TestBandEquivalence:
+    """The band-only stepper against the full-layout transforms and an
+    explicit 2/3 mask, on degenerate grids and on an Nx that 3 does not
+    divide."""
+
+    @staticmethod
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_nonlinear_term(self, Nx, Ny, dealias):
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
+        c = random_coeffs(g, seed=Nx + Ny)
+        got = nonlinear_term(Field(g, c), dealias=dealias).coeffs
+        assert self.close(got, -reference_rhs(c, g, dealias))
+
+    def test_one_step_run(self, Nx, Ny, dealias):
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
+        c = random_coeffs(g, seed=Nx * Ny)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-3, dealias=dealias)
+        got = run(Field(g, c), cfg, store_snapshots=True).snapshots[-1].coeffs
+        assert self.close(got, reference_etdrk4_step(c, g, 1e-3, dealias))
 
 
 class TestRun:
@@ -235,15 +324,14 @@ def cnab2_final(u0: Field, dt: float, t_end: float) -> Field:
     linear part, second-order Adams-Bashforth on the dealiased nonlinear
     term (first order on the first step)."""
     g = u0.geometry
-    mask = _dealias_mask(g, True)
     k = g.wavenumbers()[:, None]
     z = dt * (-(k**2) + 1j * k * (k**2 + g.eigenvalues()[None, :]))
     cn_inv = 1.0 / (1.0 - z / 2.0)
     cn_fwd = (1.0 + z / 2.0) * cn_inv
-    c = u0.coeffs * mask
+    c = u0.coeffs * band_mask(g, True)
     n_prev = None
     for _ in range(int(round(t_end / dt))):
-        n_cur = _nonlinear_rhs(g, c, mask)
+        n_cur = -nonlinear_term(Field(g, c)).coeffs
         n_prev = n_cur if n_prev is None else n_prev
         c = cn_fwd * c + dt * cn_inv * (1.5 * n_cur - 0.5 * n_prev)
         n_prev = n_cur
