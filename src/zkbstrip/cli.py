@@ -35,7 +35,7 @@ from .diagnostics import (
     fit_decay_rate,
     weighted_inner,
 )
-from .fields import InitialData, make_initial_field, make_random_field
+from .fields import Field, InitialData, make_initial_field, make_random_field
 from .geometry import StripGeometry
 from .solver import BlowUpError, SolverConfig, run
 from .theory import (
@@ -299,15 +299,15 @@ _PAPER_REF_CACHE: dict = {}
 
 
 def paper_ref_run() -> tuple[RunConfig, TimeSeries]:
-    """The reference run, with snapshots, computed once per process.
+    """The reference run, computed once per process.
 
-    Shared by the energy suite, the continuous-dependence command, and
-    the acceptance tests; the run takes a few minutes.
+    Shared by the energy suite and the acceptance tests; the run takes
+    about a minute and a half.
     """
     if "run" not in _PAPER_REF_CACHE:
         config = paper_ref_config()
         init_field = make_initial_field(config.initial, config.geometry)
-        series = run(init_field.field, config.solver, store_snapshots=True)
+        series = run(init_field.field, config.solver)
         _PAPER_REF_CACHE["run"] = (config, series)
     return _PAPER_REF_CACHE["run"]
 
@@ -401,7 +401,7 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _execute_run(config: RunConfig, out: Path, *, store_snapshots=False):
+def _execute_run(config: RunConfig, out: Path):
     """Build the initial field, run, and persist everything under out."""
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -411,8 +411,7 @@ def _execute_run(config: RunConfig, out: Path, *, store_snapshots=False):
         "initial_tail_mass": init_field.tail_mass,
     }
     try:
-        series = run(init_field.field, config.solver,
-                     store_snapshots=store_snapshots)
+        series = run(init_field.field, config.solver)
     except BlowUpError as exc:
         write_series_csv(exc.series, out / "series.csv")
         extra["blow_up_time"] = exc.t
@@ -674,17 +673,17 @@ def cmd_sweep(args) -> int:
 
 # -- continuous dependence -------------------------------------------------
 
-def cdep_experiment(config: RunConfig, eps: float,
-                    base: TimeSeries | None = None) -> dict:
+def cdep_experiment(config: RunConfig, eps: float) -> dict:
     """Growth factors of a perturbed run at eps and eps/2.
 
     The perturbation is a unit-norm first-mode gaussian bump; factors are
     max over the base run's clean samples of the weighted difference norm
-    over its initial value.  A precomputed base run (with snapshots) may
-    be supplied to avoid recomputation.
+    over its initial value.  Every run stops at the base run's clean end:
+    the base at its first contaminated sample, the perturbed runs at its
+    last clean one.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and > 0")
     geom = config.geometry
     base_init = make_initial_field(config.initial, geom)
     bump_init = make_initial_field(
@@ -693,27 +692,31 @@ def cdep_experiment(config: RunConfig, eps: float,
         geom,
     )
 
-    if base is None:
-        base = run(base_init.field, config.solver, store_snapshots=True)
-    if base.snapshots is None:
-        raise ValueError("base run must carry stored snapshots")
+    clean = []  # coefficients of the base run's clean samples
+
+    def keep_clean(sample, u) -> bool:
+        if sample.tail > CONTAMINATION_THRESHOLD:
+            return True
+        clean.append(u.coeffs)
+        return False
+
+    base = run(base_init.field, config.solver, observer=keep_clean)
     clean_end = base.clean_end()
 
     def growth_factor(e: float) -> tuple[float, float]:
         """(max over clean samples, value at the clean end) of the
         weighted difference norm over its initial value."""
-        pert0 = base_init.field + e * bump_init.field
-        pert = run(pert0, config.solver, store_snapshots=True)
-        z0 = pert.snapshots[0] - base.snapshots[0]
-        denom = weighted_inner(geom.b, z0, z0)
-        worst, final = 0.0, 0.0
-        for fb, fp, sample in zip(base.snapshots, pert.snapshots, base.samples):
-            if sample.t > clean_end:
-                break
-            z = fp - fb
-            final = weighted_inner(geom.b, z, z) / denom
-            worst = max(worst, final)
-        return worst, final
+        diffs = []  # weighted squared differences, one per clean sample
+
+        def compare(sample, u) -> bool:
+            z = Field(geom, u.coeffs - clean[len(diffs)])
+            diffs.append(weighted_inner(geom.b, z, z))
+            return len(diffs) == len(clean)
+
+        run(base_init.field + e * bump_init.field, config.solver,
+            observer=compare)
+        factors = [d / diffs[0] for d in diffs]
+        return max(factors), factors[-1]
 
     factor_full, final_full = growth_factor(eps)
     factor_half, final_half = growth_factor(eps / 2.0)
@@ -734,14 +737,11 @@ def cdep_experiment(config: RunConfig, eps: float,
 
 def cmd_cdep(args) -> int:
     try:
+        config = load_config(args.config)
         if args.eps == 0:
             print(json.dumps({"eps": 0.0, "note": "identical runs"}, indent=2))
             return EXIT_OK
-        if args.config == "paper-ref":
-            config, base = paper_ref_run()
-        else:
-            config, base = load_config(args.config), None
-        report = cdep_experiment(config, args.eps, base=base)
+        report = cdep_experiment(config, args.eps)
     except BlowUpError as exc:
         print(f"blow-up at t = {exc.t:.6g} during continuous-dependence runs",
               file=sys.stderr)

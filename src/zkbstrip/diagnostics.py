@@ -135,7 +135,6 @@ class TimeSeries:
     solver_config: object | None = None
     status: str = "clean"
     contaminated_at: float | None = None
-    snapshots: list | None = None
     blow_up_time: float | None = None
 
     def times(self) -> np.ndarray:

@@ -253,13 +253,15 @@ def nonlinear_term(u: Field, dealias: bool = True) -> Field:
     return Field(u.geometry, out)
 
 
-def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeSeries:
+def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
     """Integrate to t_end, sampling diagnostics every output_every steps.
 
     Returns the diagnostics series; the run is flagged "contaminated"
     (but still returned) when the weighted tail mass ever exceeds 1e-6
     at a snapshot.  Non-finite values or a norm explosion raise
-    :class:`BlowUpError` with the partial series attached.
+    :class:`BlowUpError` with the partial series attached.  When given,
+    ``observer(sample, u)`` is called with each recorded sample and its
+    Field; if it returns True, the run ends at that sample.
     """
     geom = u0.geometry
     check_dispersion_sanity(geom, cfg)
@@ -272,29 +274,23 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
             f"t_end = {cfg.t_end} is not an integer number of steps of {cfg.dt}"
         )
 
-    series = TimeSeries(
-        geometry=geom,
-        samples=[],
-        solver_config=cfg,
-        snapshots=[] if store_snapshots else None,
-    )
+    series = TimeSeries(geometry=geom, samples=[], solver_config=cfg)
 
     l2_0 = parseval_sum(st.w_l2, c)
     blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
     diss = 0.0
     f_prev = 2.0 * parseval_sum(st.w_dx, c)
 
-    def record(step_idx: int, l2_now: float):
+    def record(step_idx: int, l2_now: float) -> bool:
+        """Append a sample; True when the observer ends the run."""
         f = Field(geom, st.band.scatter(c))
-        series.samples.append(
-            sample_field(f, geom.b, t=step_idx * cfg.dt, l2=l2_now, diss_cum=diss)
-        )
-        if store_snapshots:
-            # fresh wrapper sharing the coefficients, so stored snapshots
-            # do not pin the grid-value cache materialized by sampling
-            series.snapshots.append(Field(geom, f.coeffs))
+        sample = sample_field(f, geom.b, t=step_idx * cfg.dt, l2=l2_now,
+                              diss_cum=diss)
+        series.samples.append(sample)
+        return observer is not None and bool(observer(sample, f))
 
-    record(0, l2_0)
+    if record(0, l2_0):
+        n_steps = 0  # the observer ended the run at its first sample
     for n in range(1, n_steps + 1):
         c = st.step_erk4(c)
         l2_now = parseval_sum(st.w_l2, c)
@@ -313,7 +309,8 @@ def run(u0: Field, cfg: SolverConfig, *, store_snapshots: bool = False) -> TimeS
                 dt_snap = (n * cfg.dt) - series.samples[-1].t
                 diss += 0.5 * dt_snap * (f_prev + f_now)
                 f_prev = f_now
-            record(n, l2_now)
+            if record(n, l2_now):
+                break
 
     series.flag_contamination()
     return series

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from zkbstrip import InitialData, make_initial_field, run, weighted_inner
+from zkbstrip import cli
 from zkbstrip.cli import (
     ConfigError,
     cdep_experiment,
@@ -400,7 +402,76 @@ class TestSweepCommand:
         assert s1 == s2
 
 
+def reference_cdep(config, eps):
+    """Continuous dependence the long way: three full-length runs whose
+    fields an observer keeps, compared over the base run's clean prefix."""
+    geom = config.geometry
+    base0 = make_initial_field(config.initial, geom).field
+    bump = make_initial_field(
+        InitialData(kind="gaussian_mode", amplitude=1.0, s=1.0,
+                    x0=config.initial.x0, j=1, target_l2_norm=1.0),
+        geom,
+    ).field
+
+    def fields_of(u0):
+        kept = []
+        series = run(u0, config.solver, observer=lambda s, u: kept.append(u))
+        return series, kept
+
+    base, base_fields = fields_of(base0)
+    clean_end = base.clean_end()
+    out = {"clean_until": clean_end}
+    for key, e in (("eps", eps), ("half_eps", eps / 2.0)):
+        _, pert_fields = fields_of(base0 + e * bump)
+        norms = [weighted_inner(geom.b, fp - fb, fp - fb)
+                 for fp, fb, s in zip(pert_fields, base_fields, base.samples)
+                 if s.t <= clean_end]
+        out[f"growth_factor_{key}"] = max(norms) / norms[0]
+        out[f"final_factor_{key}"] = norms[-1] / norms[0]
+    return out
+
+
 class TestCdepCommand:
+    # on a 64 x 16 grid with Lx = 6 the base run is contaminated at
+    # t = 0.14, so t_end = 0.5 runs past its clean end and 0.1 stays clean
+    SMALL = {"geometry": {"Lx": 6.0, "Nx": 64}, "solver": {"output_every": 10}}
+
+    @pytest.mark.parametrize("t_end, contaminated", [(0.5, True), (0.1, False)])
+    def test_early_stop_matches_full_runs(self, monkeypatch, t_end,
+                                          contaminated):
+        doc = base_doc(**self.SMALL)
+        doc["solver"]["t_end"] = t_end
+        config = parse_config(json.dumps(doc))
+        want = reference_cdep(config, 1e-3)
+
+        runs = []
+
+        def spy(u0, cfg, **kwargs):
+            runs.append(run(u0, cfg, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run", spy)
+        got = cdep_experiment(config, 1e-3)
+
+        assert got["clean_until"] == want["clean_until"]
+        for key in ("growth_factor_eps", "growth_factor_half_eps",
+                    "final_factor_eps", "final_factor_half_eps"):
+            assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
+        assert got["final_ratio"] == pytest.approx(
+            want["final_factor_eps"] / want["final_factor_half_eps"], rel=1e-13)
+
+        base, *perturbed = runs
+        assert len(perturbed) == 2
+        assert (base.status == "contaminated") == contaminated
+        if contaminated:
+            # the base stops at its first contaminated sample
+            assert base.samples[-1].t > got["clean_until"]
+            assert base.samples[-2].t == got["clean_until"]
+            assert got["clean_until"] < t_end
+        for series in perturbed:
+            assert series.samples[-1].t == got["clean_until"]
+            assert len(series.samples) == len(base.samples) - contaminated
+
     def test_growth_factors_stable(self, tmp_path, capsys):
         doc = base_doc(solver={"t_end": 1.0, "output_every": 50})
         cfg_path = write_config(tmp_path, doc)
@@ -415,15 +486,33 @@ class TestCdepCommand:
         assert main(["cdep", "--config", "paper-ref", "--eps", "0"]) == 0
         assert "identical" in capsys.readouterr().out
 
+    def test_zero_eps_still_loads_config(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.json")
+        assert main(["cdep", "--config", missing, "--eps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "identical" not in captured.out
+
     def test_negative_eps(self, tmp_path, capsys):
         doc = base_doc(solver={"t_end": 0.5})
         cfg_path = write_config(tmp_path, doc)
         assert main(["cdep", "--config", cfg_path, "--eps", "-1"]) == 1
 
-    def test_requires_base_snapshots(self, tmp_path):
-        from zkbstrip import StripGeometry, TimeSeries
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps(self, tmp_path, capsys, eps):
+        cfg_path = write_config(tmp_path, base_doc(solver={"t_end": 0.5}))
+        assert main(["cdep", "--config", cfg_path, f"--eps={eps}"]) == 1
+        assert capsys.readouterr().err == "error: eps must be finite and > 0\n"
 
-        cfg = parse_config(json.dumps(base_doc()))
-        bare = TimeSeries(geometry=cfg.geometry, samples=[])
-        with pytest.raises(ValueError, match="snapshots"):
-            cdep_experiment(cfg, 1e-3, base=bare)
+    def test_base_contaminated_at_start(self, tmp_path, capsys):
+        # periodic single-mode data fills the tail bands from t = 0
+        doc = base_doc(**self.SMALL)
+        doc["solver"]["t_end"] = 0.1
+        doc["initial"] = {"kind": "single_mode", "amplitude": 0.15,
+                          "k": math.pi / 6.0, "j": 1}
+        config = parse_config(json.dumps(doc))
+        with pytest.raises(ValueError, match="contaminated from the first"):
+            cdep_experiment(config, 1e-3)
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["cdep", "--config", cfg_path, "--eps", "1e-3"]) == 1
+        assert capsys.readouterr().err.startswith("error:")

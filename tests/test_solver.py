@@ -20,6 +20,8 @@ from zkbstrip.fields import to_grid, to_spectral
 from zkbstrip.geometry import coupling_coefficient, sine_transform
 from zkbstrip.solver import _phi123, check_dispersion_sanity
 
+from conftest import final_field
+
 
 def band_mask(g: StripGeometry, dealias: bool) -> np.ndarray:
     """Full-layout 0/1 mask of the 2/3 rule: n < Nx/3, j <= max(1, 2*Ny//3)."""
@@ -87,8 +89,7 @@ class TestLinearExactness:
         g = StripGeometry(B=np.pi, Lx=5.0, Nx=64, Ny=8)
         u = make_random_field(g, seed=8)
         cfg = SolverConfig(dt=0.01, t_end=0.1, nonlinear=False, output_every=10)
-        series = run(u, cfg, store_snapshots=True)
-        final = series.snapshots[-1].coeffs
+        final = final_field(u, cfg).coeffs
 
         k = g.wavenumbers()
         lam = g.eigenvalues()
@@ -105,7 +106,7 @@ class TestLinearExactness:
             InitialData(kind="single_mode", amplitude=1.0, k=1.0, j=1), g
         )
         cfg = SolverConfig(dt=0.02, t_end=0.02, nonlinear=False)
-        f1 = run(f0, cfg, store_snapshots=True).snapshots[-1]
+        f1 = final_field(f0, cfg)
         ratio = f1.coeffs[1, 0] / f0.coeffs[1, 0]
         assert abs(ratio) == pytest.approx(np.exp(-0.02), rel=1e-13)
         assert np.angle(ratio) == pytest.approx(2 * 0.02, abs=1e-13)
@@ -113,9 +114,11 @@ class TestLinearExactness:
     def test_zero_field_fixed_point(self):
         g = StripGeometry(B=np.pi, Lx=2.0, Nx=16, Ny=4)
         f = Field.zeros(g)
-        series = run(f, SolverConfig(dt=0.01, t_end=0.01), store_snapshots=True)
-        assert len(series.snapshots) == 2
-        assert np.all(series.snapshots[-1].coeffs == 0.0)
+        fields = []
+        run(f, SolverConfig(dt=0.01, t_end=0.01),
+            observer=lambda sample, u: fields.append(u))
+        assert len(fields) == 2
+        assert np.all(fields[-1].coeffs == 0.0)
 
     def test_dealias_off_keeps_modes_outside_band(self):
         # n = 12 lies outside the 2/3 band n < 32/3 of a 32-point grid
@@ -127,7 +130,7 @@ class TestLinearExactness:
         for dealias in (False, True):
             cfg = SolverConfig(dt=1e-3, t_end=0.01, nonlinear=False,
                                dealias=dealias, output_every=10)
-            finals[dealias] = run(f0, cfg, store_snapshots=True).snapshots[-1]
+            finals[dealias] = final_field(f0, cfg)
         ratio = finals[False].coeffs[12, 0] / f0.coeffs[12, 0]
         assert ratio == pytest.approx(np.exp(linear_symbol(12.0, 1.0) * 0.01),
                                       rel=1e-13)
@@ -143,8 +146,7 @@ class TestLinearExactness:
         )
         cfg = SolverConfig(dt=1e-2, t_end=0.5, nonlinear=False, convection=1,
                            output_every=50)
-        series = run(f0, cfg, store_snapshots=True)
-        ratio = series.snapshots[-1].coeffs[1, 0] / f0.coeffs[1, 0]
+        ratio = final_field(f0, cfg).coeffs[1, 0] / f0.coeffs[1, 0]
         assert abs(ratio) == pytest.approx(np.exp(-0.5), rel=1e-12)
         assert np.angle(ratio) == pytest.approx(0.5, abs=1e-12)
 
@@ -229,7 +231,7 @@ class TestBandEquivalence:
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
         c = random_coeffs(g, seed=Nx * Ny)
         cfg = SolverConfig(dt=1e-3, t_end=1e-3, dealias=dealias)
-        got = run(Field(g, c), cfg, store_snapshots=True).snapshots[-1].coeffs
+        got = final_field(Field(g, c), cfg).coeffs
         assert self.close(got, reference_etdrk4_step(c, g, 1e-3, dealias))
 
 
@@ -349,7 +351,7 @@ class TestSchemes:
     @staticmethod
     def etdrk4_final(u0, dt):
         cfg = SolverConfig(dt=dt, t_end=0.5, output_every=int(round(0.5 / dt)))
-        return run(u0, cfg, store_snapshots=True).snapshots[-1]
+        return final_field(u0, cfg)
 
     def test_cnab2_second_order(self, u0):
         ref = self.etdrk4_final(u0, 1.25e-4)
