@@ -27,8 +27,6 @@ from .geometry import (
     coupling_coefficient,
     eigenvalue,
     evaluate_mode,
-    inverse_sine_transform,
-    sine_transform,
 )
 from .solver import (
     BlowUpError,
@@ -76,13 +74,11 @@ __all__ = [
     "evaluate_mode",
     "fit_decay_rate",
     "gamma_tradeoff",
-    "inverse_sine_transform",
     "linear_symbol",
     "make_initial_field",
     "make_random_field",
     "nonlinear_term",
     "run",
-    "sine_transform",
     "tail_mass",
     "verify_gn",
     "verify_steklov",

@@ -53,6 +53,7 @@ EXIT_BLOWUP = 3
 
 CSV_HEADER = "t,l2,diss_cum,w_l2,w_h1,sup_w,tail"
 DECAY_TOLERANCE = 0.05  # fitted rate may undershoot chi by at most 5%
+STABLE_TOLERANCE = 0.10  # cdep ratios may differ from 1 by at most 10%
 
 
 def fmt(x: float) -> str:
@@ -95,12 +96,7 @@ class RunConfig:
     solver: SolverConfig
     initial: InitialData
     experiment: ExperimentConfig
-    b_requested: object  # "auto" or the explicit number
     raw: dict
-
-    @property
-    def resolved_b(self) -> float:
-        return self.geometry.b
 
 
 _GEOMETRY_KEYS = {"B", "Lx", "Nx", "Ny", "b"}
@@ -259,7 +255,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         geometry=geometry, solver=solver, initial=initial,
-        experiment=experiment, b_requested=b_req, raw=doc,
+        experiment=experiment, raw=doc,
     )
 
 
@@ -355,7 +351,7 @@ def write_manifest(out: Path, config: RunConfig, *, status: str, seed=None,
         "schema": 1,
         "code_version": __version__,
         "config": config.raw,
-        "resolved_b": config.resolved_b,
+        "resolved_b": config.geometry.b,
         "seed": seed,
         "started_at": started,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -369,13 +365,12 @@ def write_manifest(out: Path, config: RunConfig, *, status: str, seed=None,
     )
 
 
-def read_manifest(out: Path, verify_checksums: bool = True) -> dict:
+def read_manifest(out: Path) -> dict:
+    """The manifest of a run directory, after checking every file's checksum."""
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    if verify_checksums:
-        for name, meta in manifest.get("files", {}).items():
-            actual = _sha256(out / name)
-            if actual != meta["sha256"]:
-                raise ConfigError(f"checksum mismatch for {name} in {out}")
+    for name, meta in manifest.get("files", {}).items():
+        if _sha256(out / name) != meta["sha256"]:
+            raise ConfigError(f"checksum mismatch for {name} in {out}")
     return manifest
 
 
@@ -680,7 +675,8 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
     max over the base run's clean samples of the weighted difference norm
     over its initial value.  Every run stops at the base run's clean end:
     the base at its first contaminated sample, the perturbed runs at its
-    last clean one.
+    last clean one.  The result is stable when both the ratio of the
+    maxima and the ratio of the final factors lie within 10% of 1.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
@@ -730,7 +726,8 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
         "final_factor_eps": final_full,
         "final_factor_half_eps": final_half,
         "final_ratio": final_ratio,
-        "stable": bool(abs(ratio - 1.0) <= 0.10),
+        "stable": bool(abs(ratio - 1.0) <= STABLE_TOLERANCE
+                       and abs(final_ratio - 1.0) <= STABLE_TOLERANCE),
         "clean_until": clean_end,
     }
 
@@ -762,8 +759,17 @@ def cmd_cdep(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a usage error; argparse's own status 2 is
+    the CLI's contamination code.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="zkbstrip",
         description="Channel-strip wave simulator and decay-verification harness",
     )

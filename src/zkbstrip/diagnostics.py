@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.fft import irfft
 
+from .fields import Field, _band
 from .geometry import StripGeometry
-
-if TYPE_CHECKING:
-    from .fields import Field
 
 CONTAMINATION_THRESHOLD = 1e-6
 TAIL_BAND_FRACTION = 0.1
@@ -42,14 +38,14 @@ def _weighted_quad(
     return geom.dy * float(np.sum(wx[:, None] * fvals * gvals))
 
 
-def weighted_inner(b: float, f: "Field", g: "Field") -> float:
+def weighted_inner(b: float, f: Field, g: Field) -> float:
     """Weighted pairing (exp(2bx) f, g) over the strip."""
     if f.geometry != g.geometry:
         raise ValueError("fields live on different grids")
     return _weighted_quad(f.geometry, b, f.values, g.values)
 
 
-def weighted_dy_sq(u: "Field", b: float) -> float:
+def weighted_dy_sq(u: Field, b: float) -> float:
     """(exp(2bx), u_y^2), with the y-integral done in mode space.
 
     u_y is a cosine series, which the interior rectangle rule does not
@@ -57,13 +53,13 @@ def weighted_dy_sq(u: "Field", b: float) -> float:
     identity int u_y^2 dy = sum_j lambda_j a_j(x)^2 is exact instead.
     """
     geom = u.geometry
-    modal_x = irfft(u.coeffs * geom.Nx, n=geom.Nx, axis=0)
+    modal_x = _band(geom, False).x_modes(u.coeffs)
     lam = geom.eigenvalues()
     wx = _x_weights(geom, b)
     return float(np.sum(wx[:, None] * lam[None, :] * modal_x**2))
 
 
-def tail_mass(u: "Field", b: float) -> float:
+def tail_mass(u: Field, b: float) -> float:
     """Fraction of (exp(2bx), u^2) carried by the outer 10% x-bands.
 
     The grid point at -Lx doubles as the periodic +Lx endpoint; its
@@ -107,7 +103,7 @@ class NormSample:
     tail: float
 
 
-def sample_field(u: "Field", b: float, t: float, l2: float | None = None,
+def sample_field(u: Field, b: float, t: float, l2: float | None = None,
                  diss_cum: float = 0.0) -> NormSample:
     """Compute the full diagnostic record for one field."""
     geom = u.geometry
@@ -226,7 +222,7 @@ def energy_residual(series: TimeSeries) -> float:
     return float(np.max(np.abs(l2 + diss - l2[0]))) / l2[0]
 
 
-def compute_J0(u0: "Field", b: float) -> float:
+def compute_J0(u0: Field, b: float) -> float:
     """Weighted regularity functional of the initial data.
 
     Quadrature of u^2 + exp(2bx)*[u^2 + |grad u|^2 + |grad u_x|^2

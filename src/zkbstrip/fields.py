@@ -7,11 +7,14 @@ A :class:`Field` stores the complex coefficient tensor c[n, j] of
 with k_n = n*pi/Lx kept in rfft layout (n = 0..Nx/2, negative frequencies
 implied by conjugate symmetry) and w_j the orthonormal Dirichlet sine
 modes.  Real-valuedness and the Dirichlet trace are enforced by the
-representation itself.
+representation itself.  The one transform between coefficients and grid
+samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
+serves both the views of a Field and the stepper's dealiased product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -19,26 +22,105 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .geometry import (
-    StripGeometry,
-    evaluate_mode,
-    inverse_sine_transform,
-    sine_transform,
-)
+from .geometry import StripGeometry, evaluate_mode
 
 TAIL_REJECT_THRESHOLD = 1e-8
 
 
+# ---------------------------------------------------------------------------
+# Coefficients <-> grid samples
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _sine_matrix(n: int) -> np.ndarray:
+    """Type-I DST matrix sin(pi*m*j/(n+1)), m, j = 1..n: sine mode j on
+    the interior grid point y_m."""
+    m = np.arange(1, n + 1)
+    return np.sin(np.pi * np.outer(m, m) / (n + 1))
+
+
+def band_shape(geom: StripGeometry, dealias: bool) -> tuple[int, int]:
+    """(nb, nj): the x slots n < Nx/3 and the y modes j <= 2*Ny/3 kept
+    by the 2/3 rule, or all (Nx//2+1, Ny) of them without dealiasing.
+
+    The first mode of each direction is always retained so degenerate
+    grids (Ny in {1, 2}) stay usable.
+    """
+    if not dealias:
+        return geom.Nx // 2 + 1, geom.Ny
+    return (geom.Nx + 2) // 3, max(1, (2 * geom.Ny) // 3)
+
+
+class _Band:
+    """The retained band of coefficients as a (nj, nb) array, x contiguous.
+
+    Only the first nj y modes and nb x slots are ever non-zero in a run,
+    so the stepper keeps just those.  The grid is reached by an x irfft
+    of the nj rows (which zero-pads the missing slots) followed by one
+    (Ny, nj) sine product in y; the way back is one (nj, Ny) sine
+    product and an x rfft of the nj rows.  Nx and the normalisation of
+    the orthonormal modes make up one scale factor each way; the
+    stepper's synthesis and analysis matrices carry them, and the
+    derivative of the product sits in one per-slot factor.  The full
+    band (``dealias=False``) also serves :func:`to_grid` and
+    :func:`to_spectral`, which scale after the sine product, as a plain
+    type-I DST does: a scale folded into the matrix rounds the sampled
+    initial data differently, and long contaminated runs amplify that
+    last bit to 1e-13 in the tail mass.
+    """
+
+    def __init__(self, geom: StripGeometry, dealias: bool):
+        nb, nj = band_shape(geom, dealias)
+        self.geom = geom
+        self.nb, self.nj = nb, nj
+        self.sines = _sine_matrix(geom.Ny)[:, :nj]
+        self.grid_scale = geom.Nx * math.sqrt(2.0 / geom.B)
+        self.coeff_scale = math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx)
+        self.synthesis = self.grid_scale * self.sines
+        self.analysis = self.sines.T * self.coeff_scale
+        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
+        self.slot = (-0.5j) * geom.wavenumbers()[:nb]
+        for table in (self.sines, self.synthesis, self.analysis, self.slot):
+            table.setflags(write=False)  # shared through the cache
+
+    def gather(self, full: np.ndarray) -> np.ndarray:
+        """Full-layout (Nx//2+1, Ny) coefficients, or a Parseval table,
+        -> contiguous band array (a copy)."""
+        return np.ascontiguousarray(full[: self.nb, : self.nj].T)
+
+    def scatter(self, a: np.ndarray) -> np.ndarray:
+        """Band array -> full (Nx//2+1, Ny) coefficients, zero off the band."""
+        g = self.geom
+        full = np.zeros((g.Nx // 2 + 1, g.Ny), dtype=complex)
+        full[: self.nb, : self.nj] = a.T
+        return full
+
+    def x_modes(self, full: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients -> (Nx, Ny) amplitudes a_j(x) of the
+        orthonormal y modes on the x grid."""
+        return irfft(full, n=self.geom.Nx, axis=0) * self.geom.Nx
+
+    def rhs(self, a: np.ndarray) -> np.ndarray:
+        """-(u u_x)^hat on the band, from the band coefficients of u."""
+        u = self.synthesis @ irfft(a, n=self.geom.Nx, axis=1)
+        return rfft(self.analysis @ (u * u), axis=1)[:, : self.nb] * self.slot
+
+
+@lru_cache(maxsize=32)
+def _band(geom: StripGeometry, dealias: bool) -> _Band:
+    return _Band(geom, dealias)
+
+
 def to_spectral(values: np.ndarray, geom: StripGeometry) -> np.ndarray:
     """Grid samples (Nx, Ny) -> coefficient tensor (Nx//2+1, Ny)."""
-    modal = sine_transform(values, geom.B, axis=1)
-    return rfft(modal, axis=0) / geom.Nx
+    band = _band(geom, False)
+    return rfft((values @ band.sines) * band.coeff_scale, axis=0)
 
 
 def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
     """Coefficient tensor -> real grid samples (Nx, Ny)."""
-    modal = irfft(coeffs * geom.Nx, n=geom.Nx, axis=0)
-    return inverse_sine_transform(modal, geom.B, axis=1)
+    band = _band(geom, False)
+    return (irfft(coeffs, n=geom.Nx, axis=0) @ band.sines.T) * band.grid_scale
 
 
 class ParsevalTables(NamedTuple):

@@ -1,4 +1,4 @@
-"""Strip geometry, Dirichlet sine eigenbasis, and spectral transforms.
+"""Strip geometry, Dirichlet sine eigenbasis, and the triple-product oracle.
 
 The channel strip is periodic in x on [-Lx, Lx) and carries homogeneous
 Dirichlet conditions at y = 0 and y = B.  In y we use the orthonormal
@@ -6,9 +6,10 @@ eigenbasis of -d2/dy2,
 
     w_j(y) = sqrt(2/B) * sin(j*pi*y/B),   lambda_j = (j*pi/B)**2,
 
-realized numerically through the type-I discrete sine transform on the
-uniform interior grid y_m = m*B/(Ny+1), m = 1..Ny, where the modes are
-discretely orthogonal and the Dirichlet conditions hold by construction.
+sampled on the uniform interior grid y_m = m*B/(Ny+1), m = 1..Ny, where
+the modes are discretely orthogonal and the Dirichlet conditions hold by
+construction; the transforms between mode coefficients and grid samples
+live in :mod:`zkbstrip.fields`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
 
 
 @dataclass(frozen=True)
@@ -95,43 +95,6 @@ def evaluate_mode(j: int, y, B: float):
         raise ValueError(f"y must lie in [0, {B}]")
     vals = np.sqrt(2.0 / B) * np.sin(j * np.pi * y / B)
     return float(vals) if vals.ndim == 0 else vals
-
-
-# ---------------------------------------------------------------------------
-# Sine transforms on the interior grid
-# ---------------------------------------------------------------------------
-
-_MATMUL_LIMIT = 64  # below this mode count a dense DST beats the FFT path
-
-
-@lru_cache(maxsize=32)
-def _sine_matrix(n: int) -> np.ndarray:
-    m = np.arange(1, n + 1)
-    return np.sin(np.pi * np.outer(m, m) / (n + 1))
-
-
-def _apply_dst1(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized type-I DST, dense for small mode counts."""
-    n = arr.shape[axis]
-    if n > _MATMUL_LIMIT:
-        return dst(arr, type=1, axis=axis)
-    moved = np.moveaxis(arr, axis, -1)
-    return np.moveaxis(2.0 * (moved @ _sine_matrix(n)), -1, axis)
-
-
-def sine_transform(values: np.ndarray, B: float, axis: int = -1) -> np.ndarray:
-    """Samples on the interior grid -> coefficients of the orthonormal modes.
-
-    Inverse of :func:`inverse_sine_transform`; satisfies the Parseval
-    identity sum(a_j**2) = (B/(Ny+1)) * sum(values**2).
-    """
-    n = values.shape[axis]
-    return _apply_dst1(values, axis) * (np.sqrt(B / 2.0) / (n + 1))
-
-
-def inverse_sine_transform(coeffs: np.ndarray, B: float, axis: int = -1) -> np.ndarray:
-    """Coefficients of the orthonormal sine modes -> interior grid samples."""
-    return _apply_dst1(coeffs, axis) * (np.sqrt(2.0 / B) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,21 +26,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .diagnostics import TimeSeries, sample_field
-from .fields import Field, parseval_sum, parseval_tables
-from .geometry import StripGeometry, _sine_matrix
+from .fields import Field, _band, band_shape, parseval_sum, parseval_tables
+from .geometry import StripGeometry
 
 DISPERSION_SANITY_LIMIT = 50.0
 BLOWUP_NORM_FACTOR = 1e6
 
 
-def linear_symbol(k: float, lam: float, convection: int = 0) -> complex:
-    """Per-mode rate: Re = -k^2 (dissipation), Im = k*(k^2+lam-c)."""
-    if lam < 0:
+def linear_symbol(k, lam, convection: int = 0):
+    """Per-mode rate: Re = -k^2 (dissipation), Im = k*(k^2+lam-c).
+
+    Scalars give a complex; arrays broadcast to an array of rates.
+    """
+    if np.any(np.asarray(lam) < 0):
         raise ValueError(f"eigenvalue must be >= 0, got {lam}")
-    return complex(-k * k, k * (k * k + lam - convection))
+    sigma = -(k * k) + 1j * k * (k * k + lam - convection)
+    return complex(sigma) if np.ndim(sigma) == 0 else sigma
 
 
 @dataclass(frozen=True)
@@ -82,67 +85,6 @@ class BlowUpError(RuntimeError):
         self.series = series
 
 
-def band_shape(geom: StripGeometry, dealias: bool) -> tuple[int, int]:
-    """(nb, nj): the x slots n < Nx/3 and the y modes j <= 2*Ny/3 kept
-    by the 2/3 rule, or all (Nx//2+1, Ny) of them without dealiasing.
-
-    The first mode of each direction is always retained so degenerate
-    grids (Ny in {1, 2}) stay usable.
-    """
-    if not dealias:
-        return geom.Nx // 2 + 1, geom.Ny
-    return (geom.Nx + 2) // 3, max(1, (2 * geom.Ny) // 3)
-
-
-class _Band:
-    """The retained band of coefficients as a (nj, nb) array, x contiguous.
-
-    Only the first nj y modes and nb x slots are ever non-zero in a run,
-    so the stepper keeps just those.  The grid is reached by an x irfft
-    of the nj rows (which zero-pads the missing slots) followed by one
-    (Ny, nj) synthesis product in y; the way back is one (nj, Ny)
-    analysis product and an x rfft of the nj rows.  Every scale factor
-    of ``fields.to_grid``/``to_spectral`` (Nx and the sine-transform
-    normalisations) sits in the two y matrices, and the derivative of
-    the product in one per-slot factor.
-    """
-
-    def __init__(self, geom: StripGeometry, dealias: bool):
-        nb, nj = band_shape(geom, dealias)
-        self.geom = geom
-        self.nb, self.nj = nb, nj
-        sines = _sine_matrix(geom.Ny)[:, :nj]
-        self.synthesis = (geom.Nx * math.sqrt(2.0 / geom.B)) * sines
-        self.analysis = sines.T * (
-            math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx))
-        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
-        self.slot = (-0.5j) * geom.wavenumbers()[:nb]
-        for table in (self.synthesis, self.analysis, self.slot):
-            table.setflags(write=False)  # shared through the cache
-
-    def gather(self, full: np.ndarray) -> np.ndarray:
-        """Full-layout (Nx//2+1, Ny) coefficients, or a Parseval table,
-        -> contiguous band array (a copy)."""
-        return np.ascontiguousarray(full[: self.nb, : self.nj].T)
-
-    def scatter(self, a: np.ndarray) -> np.ndarray:
-        """Band array -> full (Nx//2+1, Ny) coefficients, zero off the band."""
-        g = self.geom
-        full = np.zeros((g.Nx // 2 + 1, g.Ny), dtype=complex)
-        full[: self.nb, : self.nj] = a.T
-        return full
-
-    def rhs(self, a: np.ndarray) -> np.ndarray:
-        """-(u u_x)^hat on the band, from the band coefficients of u."""
-        u = self.synthesis @ irfft(a, n=self.geom.Nx, axis=1)
-        return rfft(self.analysis @ (u * u), axis=1)[:, : self.nb] * self.slot
-
-
-@lru_cache(maxsize=32)
-def _band(geom: StripGeometry, dealias: bool) -> _Band:
-    return _Band(geom, dealias)
-
-
 def check_dispersion_sanity(geom: StripGeometry, cfg: SolverConfig):
     """Guard the explicit nonlinear stage against extreme phase rotation.
 
@@ -151,8 +93,8 @@ def check_dispersion_sanity(geom: StripGeometry, cfg: SolverConfig):
     exact on the linear part at any dt.
     """
     k = geom.wavenumbers()[: band_shape(geom, cfg.dealias)[0]]
-    lam1 = geom.eigenvalues()[0]
-    stiff = float(np.max(np.abs(k) * (k**2 + lam1 - cfg.convection)))
+    sigma = linear_symbol(k, geom.eigenvalues()[0], cfg.convection)
+    stiff = float(np.max(np.abs(sigma.imag)))
     if cfg.dt * stiff >= DISPERSION_SANITY_LIMIT:
         raise ValueError(
             f"dt*max|Im sigma| = {cfg.dt * stiff:.1f} exceeds "
@@ -188,17 +130,17 @@ def _phi123(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class Stepper:
     """Precomputed coefficients and transforms for one (geometry, config).
 
-    It steps the band array of :class:`_Band`: every coefficient table
-    below has its (nj, nb) shape.
+    It steps the band array of :class:`fields._Band`: every coefficient
+    table below has its (nj, nb) shape.
     """
 
     def __init__(self, geom: StripGeometry, cfg: SolverConfig):
         self.geom = geom
         self.cfg = cfg
         self.band = _band(geom, cfg.dealias)
-        k = geom.wavenumbers()[None, : self.band.nb]
-        lam = geom.eigenvalues()[: self.band.nj, None]
-        sigma = -(k**2) + 1j * k * (k**2 + lam - cfg.convection)
+        sigma = linear_symbol(geom.wavenumbers()[None, : self.band.nb],
+                              geom.eigenvalues()[: self.band.nj, None],
+                              cfg.convection)
         pw = parseval_tables(geom)
         self.w_l2 = self.band.gather(pw.l2)
         self.w_dx = self.band.gather(pw.dx)

@@ -33,9 +33,8 @@ from zkbstrip import (
     verify_sup_lemma,
 )
 from zkbstrip.diagnostics import CONTAMINATION_THRESHOLD
-from zkbstrip.geometry import sine_transform
 
-from conftest import final_field
+from conftest import final_field, reference_sine_coeffs
 
 CHI_REF = 0.025
 SWEEP_GEOM = StripGeometry(B=math.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
@@ -162,7 +161,7 @@ def test_criterion_8_coupling_oracle_equivalence():
     x = geom.x_grid()
     w1 = evaluate_mode(1, geom.y_grid(), geom.B)
     u = Field.from_values(geom, np.sin(x)[:, None] * w1[None, :])
-    modal = sine_transform(nonlinear_term(u).values, geom.B, axis=1)
+    modal = reference_sine_coeffs(nonlinear_term(u).values, geom, axis=1)
     target = 0.5 * np.sin(2 * x)
     worst = 0.0
     for j in range(1, 10):

@@ -50,13 +50,13 @@ class TestParseConfig:
 
     def test_auto_weight_resolved(self):
         cfg = parse_config(json.dumps(base_doc()))
-        assert cfg.b_requested == "auto"
-        assert cfg.resolved_b == pytest.approx(0.1, abs=1e-14)
+        assert cfg.raw["geometry"]["b"] == "auto"
+        assert cfg.geometry.b == pytest.approx(0.1, abs=1e-14)
 
     def test_explicit_weight(self):
         doc = base_doc(geometry={"b": 0.05})
         cfg = parse_config(json.dumps(doc))
-        assert cfg.resolved_b == 0.05
+        assert cfg.geometry.b == 0.05
 
     def test_unknown_key(self):
         doc = base_doc()
@@ -328,8 +328,31 @@ class TestVerifyCommand:
         assert "samples must be >= 1" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "everything"])
+        assert info.value.code == 1
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, not its own 2 (the contamination code)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "paper-ref"],
+        ["cdep", "--config", "x.json", "--eps", "-inf"],
+        ["constants", "--B", "wide"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["cdep", "--help"])
+        assert info.value.code == 0
+        assert "--eps" in capsys.readouterr().out
 
 
 class TestSweepCommand:
@@ -481,6 +504,17 @@ class TestCdepCommand:
         assert payload["stable"] is True
         assert abs(payload["ratio"] - 1.0) <= 0.10
         assert payload["growth_factor_eps"] > 0
+
+    def test_final_ratio_decides_stable(self, tmp_path, capsys):
+        # both maxima sit at t = 0, so ratio reads 1.0 at any eps; at
+        # eps = 10 the final factors differ by 13% (clean until t = 0.58)
+        cfg_path = write_config(tmp_path, base_doc())
+        for eps, code in (("10", 1), ("1e-3", 0)):
+            assert main(["cdep", "--config", cfg_path, "--eps", eps]) == code
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["ratio"] == 1.0
+            assert payload["stable"] is (code == 0)
+            assert (abs(payload["final_ratio"] - 1.0) <= 0.10) is (code == 0)
 
     def test_zero_eps_degenerate(self, capsys):
         assert main(["cdep", "--config", "paper-ref", "--eps", "0"]) == 0

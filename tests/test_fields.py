@@ -12,6 +12,8 @@ from zkbstrip import (
     weighted_inner,
 )
 
+from conftest import reference_sine_values
+
 
 class TestFieldBasics:
     def test_round_trip(self, small_geom):
@@ -47,14 +49,12 @@ class TestFieldBasics:
         # reconstruct through the full complex spectrum; imaginary part of
         # the inverse transform must vanish
         u = make_random_field(small_geom, seed=5)
-        from zkbstrip.geometry import inverse_sine_transform
-
         full = np.zeros((small_geom.Nx, small_geom.Ny), complex)
         half = u.coeffs
         full[: half.shape[0]] = half
         full[small_geom.Nx // 2 + 1:] = np.conj(half[1:small_geom.Nx // 2][::-1])
         grid = np.fft.ifft(full * small_geom.Nx, axis=0)
-        vals = inverse_sine_transform(grid, small_geom.B, axis=1)
+        vals = reference_sine_values(grid, small_geom, axis=1)
         assert np.max(np.abs(vals.imag)) < 1e-12
         assert np.max(np.abs(vals.real - u.values)) < 1e-12
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.fft import dst
 from scipy.integrate import quad
 
 from zkbstrip import (
@@ -8,9 +7,10 @@ from zkbstrip import (
     coupling_coefficient,
     eigenvalue,
     evaluate_mode,
-    inverse_sine_transform,
-    sine_transform,
 )
+from zkbstrip.fields import parseval_sum, parseval_tables, to_grid, to_spectral
+
+from conftest import reference_to_grid, reference_to_spectral
 
 
 class TestEigenvalue:
@@ -81,52 +81,67 @@ class TestBasis:
         assert np.max(np.abs(gram - np.eye(Ny))) < 1e-10
 
 
+# y mode counts from the degenerate 1 to well past the 64 of the widest
+# grid a run or verifier uses
+SINE_NYS = (1, 32, 64, 65, 100, 512)
+
+
 class TestSineTransform:
+    """fields.to_grid/to_spectral, whose y part is the dense DST-I matrix,
+    against the scipy.fft reference in conftest."""
+
     def test_single_mode_round_trip(self):
-        B, Ny = np.pi, 32
-        e1 = np.zeros(Ny)
-        e1[0] = 1.0
-        vals = inverse_sine_transform(e1, B)
-        y = np.arange(1, Ny + 1) * B / (Ny + 1)
-        assert np.allclose(vals, evaluate_mode(1, y, B), atol=1e-14)
-        assert np.allclose(sine_transform(vals, B), e1, atol=1e-14)
+        for Ny in SINE_NYS:
+            g = StripGeometry(B=np.pi, Lx=1.0, Nx=4, Ny=Ny)
+            e1 = np.zeros((3, Ny), complex)
+            e1[0, 0] = 1.0
+            vals = to_grid(e1, g)
+            assert np.allclose(vals, evaluate_mode(1, g.y_grid(), g.B)[None, :],
+                               atol=1e-14)
+            assert np.allclose(to_spectral(vals, g), e1, atol=1e-14)
 
     def test_zero_vector(self):
-        out = sine_transform(np.zeros(8), 1.5)
-        assert np.all(out == 0.0)
+        for Ny in SINE_NYS:
+            g = StripGeometry(B=1.5, Lx=1.0, Nx=4, Ny=Ny)
+            assert np.all(to_spectral(np.zeros((4, Ny)), g) == 0.0)
+            assert np.all(to_grid(np.zeros((3, Ny), complex), g) == 0.0)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(42)
-        B = 1.9
-        for _ in range(100):
-            v = rng.standard_normal(24)
-            back = inverse_sine_transform(sine_transform(v, B), B)
-            assert np.max(np.abs(back - v)) < 1e-12
+        for Ny in SINE_NYS:
+            g = StripGeometry(B=1.9, Lx=1.0, Nx=8, Ny=Ny)
+            for _ in range(10):
+                v = rng.standard_normal((8, Ny))
+                c = to_spectral(v, g)
+                back = to_grid(c, g)
+                assert np.max(np.abs(back - v)) < 1e-12
+                assert np.max(np.abs(back - reference_to_grid(c, g))) < 1e-12
 
     def test_parseval(self):
         rng = np.random.default_rng(7)
-        B, Ny = 3.3, 48
-        for _ in range(20):
-            v = rng.standard_normal(Ny)
-            a = sine_transform(v, B)
-            assert np.sum(a**2) == pytest.approx(
-                (B / (Ny + 1)) * np.sum(v**2), rel=1e-10
-            )
+        for Ny in SINE_NYS:
+            g = StripGeometry(B=3.3, Lx=2.0, Nx=8, Ny=Ny)
+            for _ in range(5):
+                v = rng.standard_normal((8, Ny))
+                c = to_spectral(v, g)
+                assert parseval_sum(parseval_tables(g).l2, c) == pytest.approx(
+                    g.dx * g.dy * np.sum(v**2), rel=1e-10
+                )
 
-    def test_matmul_path_matches_fft_path(self):
-        # n <= 64 uses a dense sine matrix; must agree with scipy's DST
+    def test_matches_scipy_reference(self):
         rng = np.random.default_rng(3)
-        B, n = 2.2, 32
-        v = rng.standard_normal((5, n))
-        direct = dst(v, type=1, axis=-1) * (np.sqrt(B / 2.0) / (n + 1))
-        assert np.max(np.abs(sine_transform(v, B) - direct)) < 1e-13
+        for Ny in SINE_NYS:
+            g = StripGeometry(B=2.2, Lx=1.0, Nx=10, Ny=Ny)
+            v = rng.standard_normal((10, Ny))
+            direct = reference_to_spectral(v, g)
+            assert np.max(np.abs(to_spectral(v, g) - direct)) < 1e-13
 
     def test_round_trip_preserves_length(self):
-        B = 2.0
-        for n in (1, 5, 32, 100):
-            v = np.linspace(0.3, 1.0, n)
-            assert sine_transform(v, B).shape == (n,)
-            assert inverse_sine_transform(sine_transform(v, B), B).shape == (n,)
+        for Ny in SINE_NYS:
+            g = StripGeometry(B=2.0, Lx=1.0, Nx=6, Ny=Ny)
+            v = np.linspace(0.3, 1.0, 6 * Ny).reshape(6, Ny)
+            assert to_spectral(v, g).shape == (4, Ny)
+            assert to_grid(to_spectral(v, g), g).shape == (6, Ny)
 
 
 class TestCouplingCoefficient:

@@ -16,11 +16,15 @@ from zkbstrip import (
     run,
     weighted_inner,
 )
-from zkbstrip.fields import to_grid, to_spectral
-from zkbstrip.geometry import coupling_coefficient, sine_transform
+from zkbstrip.geometry import coupling_coefficient
 from zkbstrip.solver import _phi123, check_dispersion_sanity
 
-from conftest import final_field
+from conftest import (
+    final_field,
+    reference_sine_coeffs,
+    reference_to_grid,
+    reference_to_spectral,
+)
 
 
 def band_mask(g: StripGeometry, dealias: bool) -> np.ndarray:
@@ -33,11 +37,12 @@ def band_mask(g: StripGeometry, dealias: bool) -> np.ndarray:
 
 
 def reference_rhs(c: np.ndarray, g: StripGeometry, dealias: bool) -> np.ndarray:
-    """-(u u_x)^hat in the full coefficient layout, through the full
-    transforms, on the band projection of c."""
+    """-(u u_x)^hat in the full coefficient layout, through the scipy
+    reference transforms, on the band projection of c."""
     mask = band_mask(g, dealias)
-    u = to_grid(c * mask, g)
-    return (-0.5j) * g.wavenumbers()[:, None] * to_spectral(u * u, g) * mask
+    u = reference_to_grid(c * mask, g)
+    return ((-0.5j) * g.wavenumbers()[:, None]
+            * reference_to_spectral(u * u, g) * mask)
 
 
 class TestLinearSymbol:
@@ -60,6 +65,16 @@ class TestLinearSymbol:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             linear_symbol(1.0, -0.5)
+        with pytest.raises(ValueError):
+            linear_symbol(np.ones(2), np.array([1.0, -0.5]))
+
+    def test_arrays_broadcast_like_scalars(self):
+        k = np.array([0.0, 0.5, 2.0])[:, None]
+        lam = np.array([1.0, 4.0])[None, :]
+        sigma = linear_symbol(k, lam, 1)
+        assert sigma.shape == (3, 2)
+        for i, j in np.ndindex(sigma.shape):
+            assert sigma[i, j] == linear_symbol(float(k[i, 0]), float(lam[0, j]), 1)
 
 
 class TestConfigValidation:
@@ -170,7 +185,7 @@ class TestNonlinearTerm:
         x = g.x_grid()
         w1 = evaluate_mode(1, g.y_grid(), g.B)
         u = Field.from_values(g, np.sin(x)[:, None] * w1[None, :])
-        modal = sine_transform(nonlinear_term(u).values, g.B, axis=1)
+        modal = reference_sine_coeffs(nonlinear_term(u).values, g, axis=1)
         target = 0.5 * np.sin(2 * x)
         for j in range(1, 9):
             T = coupling_coefficient(1, 1, j, g.B)
