@@ -7,7 +7,6 @@ from .diagnostics import (
     DecayFit,
     NormSample,
     TimeSeries,
-    compute_J0,
     default_fit_window,
     energy_residual,
     fit_decay_rate,
@@ -24,7 +23,6 @@ from .fields import (
 )
 from .geometry import (
     StripGeometry,
-    coupling_coefficient,
     eigenvalue,
     evaluate_mode,
 )
@@ -32,17 +30,14 @@ from .solver import (
     BlowUpError,
     SolverConfig,
     linear_symbol,
-    nonlinear_term,
     run,
 )
 from .theory import (
-    GammaPoint,
     InequalityCheck,
     SmallnessCheck,
     TheoremConstants,
     check_smallness,
     constants_for_width,
-    gamma_tradeoff,
     verify_gn,
     verify_steklov,
     verify_sup_lemma,
@@ -53,7 +48,6 @@ __all__ = [
     "BlowUpError",
     "DecayFit",
     "Field",
-    "GammaPoint",
     "InequalityCheck",
     "InitialData",
     "InitialField",
@@ -65,19 +59,15 @@ __all__ = [
     "TheoremConstants",
     "TimeSeries",
     "check_smallness",
-    "compute_J0",
     "constants_for_width",
-    "coupling_coefficient",
     "default_fit_window",
     "eigenvalue",
     "energy_residual",
     "evaluate_mode",
     "fit_decay_rate",
-    "gamma_tradeoff",
     "linear_symbol",
     "make_initial_field",
     "make_random_field",
-    "nonlinear_term",
     "run",
     "tail_mass",
     "verify_gn",

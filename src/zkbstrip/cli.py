@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     CONTAMINATION_THRESHOLD,
+    NormSample,
     TimeSeries,
     default_fit_window,
     energy_residual,
@@ -82,12 +83,17 @@ class ExperimentConfig:
             )
         w = self.fit_window
         if w != "last-half-clean":
-            if (not isinstance(w, (list, tuple)) or len(w) != 2
-                    or not all(isinstance(v, (int, float)) for v in w)):
+            if not isinstance(w, (list, tuple)) or len(w) != 2:
                 raise ConfigError(
                     "type mismatch at experiment.fit_window: expected "
                     "'last-half-clean' or [t0, t1]"
                 )
+            t0, t1 = (_number({f"[{i}]": v}, "experiment.fit_window", f"[{i}]")
+                      for i, v in enumerate(w))
+            if not t0 < t1:
+                raise ConfigError(
+                    f"invalid value at experiment.fit_window: expected "
+                    f"t0 < t1, got {list(w)}")
 
 
 @dataclass(frozen=True)
@@ -327,15 +333,16 @@ def write_series_csv(series: TimeSeries, path: Path):
 
 
 def read_series_csv(path: Path, geometry: StripGeometry) -> TimeSeries:
-    from .diagnostics import NormSample
-
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    if lines[0] != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header in {path}")
+    if not lines or lines[0] != CSV_HEADER:
+        raise ConfigError(f"unexpected CSV header in {path}, line 1")
     samples = []
-    for line in lines[1:]:
-        vals = [float(v) for v in line.split(",")]
-        samples.append(NormSample(*vals))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            samples.append(NormSample(*(float(v) for v in line.split(","))))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"malformed row in {path}, line {lineno}: {exc}") from exc
     series = TimeSeries(geometry=geometry, samples=samples)
     series.flag_contamination()
     return series
@@ -379,11 +386,7 @@ def read_manifest(out: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    try:
-        consts = constants_for_width(args.B)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    consts = constants_for_width(args.B)
     payload = {
         "B": consts.B,
         "b_star": consts.b_star,
@@ -420,20 +423,13 @@ def _execute_run(config: RunConfig, out: Path):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = load_config(args.config)
     out = Path(args.out)
     try:
         series, init_field = _execute_run(config, out)
     except BlowUpError as exc:
         print(f"blow-up at t = {exc.t:.6g}; partial results in {out}")
         return EXIT_BLOWUP
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     last = series.samples[-1]
     print(f"run complete: status={series.status}, t_end={last.t:g}, "
           f"||u0||={init_field.l2_norm:.6g}, final l2={last.l2:.6e}")
@@ -470,11 +466,7 @@ def _fit_from_dir(run_dir: Path, norm: str, t0, t1):
 
 
 def cmd_fit_decay(args) -> int:
-    try:
-        fit, chi, _ = _fit_from_dir(Path(args.out), args.norm, args.t0, args.t1)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fit, chi, _ = _fit_from_dir(Path(args.out), args.norm, args.t0, args.t1)
     compliant = fit.rate >= chi * (1.0 - DECAY_TOLERANCE)
     print(json.dumps({
         "norm": fit.norm,
@@ -556,11 +548,7 @@ def _energy_sample(index: int, seed: int) -> float:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify_suite(args.suite, args.samples, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify_suite(args.suite, args.samples, args.seed)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["all_hold"] else EXIT_USAGE
 
@@ -606,28 +594,24 @@ def _sweep_cell(template_json: str, B: float, amp_frac: float, out_dir: str):
     except BlowUpError:
         row["status"] = "blow-up"
         row["compliant"] = "fail" if row["within_threshold"] else "outside theorem scope"
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         row["status"] = f"error: {exc}"
         row["compliant"] = "fail" if row["within_threshold"] else "outside theorem scope"
     return row
 
 
 def cmd_sweep(args) -> int:
-    try:
-        template = load_config(args.config)
-        widths = [float(v) for v in args.B.split(",")]
-        amps = [float(v) for v in args.amps.split(",")]
-        # checked before any cell runs: the per-cell constants and
-        # smallness verdict raise on these outside the cell's error handling
-        if not all(math.isfinite(B) and B > 0 for B in widths):
-            raise ConfigError(f"widths must be finite and > 0, got {args.B}")
-        # zero data has no decay rate to fit
-        if not all(math.isfinite(a) and a > 0 for a in amps):
-            raise ConfigError(
-                f"amplitude fractions must be finite and > 0, got {args.amps}")
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    template = load_config(args.config)
+    widths = [float(v) for v in args.B.split(",")]
+    amps = [float(v) for v in args.amps.split(",")]
+    # checked before any cell runs: the per-cell constants and smallness
+    # verdict raise on these outside the cell's error handling
+    if not all(math.isfinite(B) and B > 0 for B in widths):
+        raise ConfigError(f"widths must be finite and > 0, got {args.B}")
+    # zero data has no decay rate to fit
+    if not all(math.isfinite(a) and a > 0 for a in amps):
+        raise ConfigError(
+            f"amplitude fractions must be finite and > 0, got {args.amps}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     template_json = json.dumps(template.raw)
@@ -733,19 +717,16 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
 
 
 def cmd_cdep(args) -> int:
+    config = load_config(args.config)
+    if args.eps == 0:
+        print(json.dumps({"eps": 0.0, "note": "identical runs"}, indent=2))
+        return EXIT_OK
     try:
-        config = load_config(args.config)
-        if args.eps == 0:
-            print(json.dumps({"eps": 0.0, "note": "identical runs"}, indent=2))
-            return EXIT_OK
         report = cdep_experiment(config, args.eps)
     except BlowUpError as exc:
         print(f"blow-up at t = {exc.t:.6g} during continuous-dependence runs",
               file=sys.stderr)
         return EXIT_BLOWUP
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     print(json.dumps(report, indent=2))
     if args.out:
         out = Path(args.out)
@@ -819,8 +800,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every config, value or I/O error it raises
+    ends as ``error: ...`` on stderr and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

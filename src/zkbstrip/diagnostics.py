@@ -103,9 +103,10 @@ class NormSample:
     tail: float
 
 
-def sample_field(u: Field, b: float, t: float, l2: float | None = None,
-                 diss_cum: float = 0.0) -> NormSample:
-    """Compute the full diagnostic record for one field."""
+def sample_field(u: Field, b: float, t: float, l2: float,
+                 diss_cum: float) -> NormSample:
+    """The diagnostic record of one field, given its squared L2 norm and
+    the dissipation accumulated so far."""
     geom = u.geometry
     vals = u.values
     ux = u.dx().values
@@ -114,10 +115,8 @@ def sample_field(u: Field, b: float, t: float, l2: float | None = None,
     w_h1 = w_l2 + geom.dy * float(np.sum(wx[:, None] * ux**2)) \
         + weighted_dy_sq(u, b)
     sup_w = float(np.max(np.abs(np.exp(b * geom.x_grid())[:, None] * vals)))
-    if l2 is None:
-        l2 = u.l2sq()
     return NormSample(
-        t=t, l2=float(l2), diss_cum=float(diss_cum), w_l2=w_l2, w_h1=w_h1,
+        t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
         sup_w=sup_w, tail=tail_mass(u, b),
     )
 
@@ -128,10 +127,8 @@ class TimeSeries:
 
     geometry: StripGeometry
     samples: list[NormSample]
-    solver_config: object | None = None
     status: str = "clean"
     contaminated_at: float | None = None
-    blow_up_time: float | None = None
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -221,26 +218,3 @@ def energy_residual(series: TimeSeries) -> float:
         return 0.0 if float(np.max(l2 + diss)) == 0.0 else math.inf
     return float(np.max(np.abs(l2 + diss - l2[0]))) / l2[0]
 
-
-def compute_J0(u0: Field, b: float) -> float:
-    """Weighted regularity functional of the initial data.
-
-    Quadrature of u^2 + exp(2bx)*[u^2 + |grad u|^2 + |grad u_x|^2
-    + u^2 u_x^2 + |Delta u_x|^2], all derivatives spectral; the
-    y-derivative energies are summed in mode space.
-    """
-    geom = u0.geometry
-    vals = u0.values
-    ux = u0.dx()
-    uxv = ux.values
-    uxxv = u0.dx(2).values
-    lap_ux = (u0.dx(3) + ux.dyy()).values
-
-    total = u0.l2sq()
-    weighted = vals**2 + uxv**2 + uxxv**2 + vals**2 * uxv**2 + lap_ux**2
-    wx = _x_weights(geom, b)
-    total += geom.dy * float(np.sum(wx[:, None] * weighted))
-    total += weighted_dy_sq(u0, b) + weighted_dy_sq(ux, b)
-    if not math.isfinite(total):
-        raise FloatingPointError("non-finite intermediate in J0 quadrature")
-    return total

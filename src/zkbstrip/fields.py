@@ -204,19 +204,12 @@ class Field:
 
     # -- calculus ------------------------------------------------------
 
-    def dx(self, order: int = 1) -> "Field":
-        """Spectral x-derivative; the Nyquist slot is zeroed (odd orders
-        have no consistent real representative there)."""
-        k = self.geometry.wavenumbers()
-        mult = (1j * k) ** order
-        if order % 2 == 1:
-            mult = mult.copy()
-            mult[-1] = 0.0
+    def dx(self) -> "Field":
+        """Spectral x-derivative; the Nyquist slot is zeroed (it has no
+        consistent real representative)."""
+        mult = 1j * self.geometry.wavenumbers()
+        mult[-1] = 0.0
         return Field(self.geometry, self.coeffs * mult[:, None])
-
-    def dyy(self) -> "Field":
-        lam = self.geometry.eigenvalues()
-        return Field(self.geometry, self.coeffs * (-lam)[None, :])
 
     # -- norms -----------------------------------------------------------
 
@@ -247,18 +240,17 @@ class Field:
 
     __rmul__ = __mul__
 
-    def values_padded(self, mx: int = 2, my: int = 2) -> tuple[np.ndarray, StripGeometry]:
-        """Field sampled on an (mx*Nx, my*Ny) refinement of the grid.
+    def values_padded(self) -> tuple[np.ndarray, StripGeometry]:
+        """Field sampled on the (2*Nx, 2*Ny) refinement of the grid.
 
         Used for alias-free quadrature of quartic quantities.  Returns the
         sample array and the refined geometry (for quadrature weights).
         """
         geom = self.geometry
-        fine = StripGeometry(geom.B, geom.Lx, mx * geom.Nx, my * geom.Ny, geom.b)
+        fine = StripGeometry(geom.B, geom.Lx, 2 * geom.Nx, 2 * geom.Ny, geom.b)
         pad = np.zeros((fine.Nx // 2 + 1, fine.Ny), dtype=complex)
         pad[: geom.Nx // 2 + 1, : geom.Ny] = self.coeffs
-        if mx > 1:
-            pad[geom.Nx // 2, :] /= 2.0  # Nyquist splits into +/- pair
+        pad[geom.Nx // 2, :] /= 2.0  # Nyquist splits into +/- pair
         return to_grid(pad, fine), fine
 
 
@@ -276,8 +268,8 @@ class InitialData:
                        multiple of pi/Lx
       custom_samples : explicit (Nx, Ny) grid samples in ``values``
 
-    ``target_l2_norm``, when set, rescales the amplitude so the sampled
-    field has exactly that L2 norm.
+    ``target_l2_norm``, when set, must be positive; it rescales the
+    amplitude so the sampled field has exactly that L2 norm.
     """
 
     kind: str
@@ -296,6 +288,9 @@ class InitialData:
             raise ValueError(f"gaussian width s must be positive, got {self.s}")
         if self.kind == "custom_samples" and self.values is None:
             raise ValueError("custom_samples requires explicit values")
+        if self.target_l2_norm is not None and not self.target_l2_norm > 0:
+            raise ValueError(
+                f"target_l2_norm must be positive, got {self.target_l2_norm}")
 
 
 class InitialField(NamedTuple):
@@ -357,24 +352,15 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
     return InitialField(field, norm, tail)
 
 
-def make_random_field(
-    geom: StripGeometry,
-    seed: int,
-    nx_max: int | None = None,
-    j_max: int | None = None,
-) -> Field:
+def make_random_field(geom: StripGeometry, seed: int) -> Field:
     """Band-limited random field with unit L2 norm.
 
     Coefficients are drawn from a seeded normal distribution on the block
-    n <= nx_max, j <= j_max (defaults: half the dealiasing band in each
-    direction), making the corpus reproducible across runs.
+    n <= max(1, Nx//6), j <= max(1, Ny//3) (half the dealiasing band in
+    each direction), making the corpus reproducible across runs.
     """
-    if nx_max is None:
-        nx_max = max(1, geom.Nx // 6)
-    if j_max is None:
-        j_max = max(1, geom.Ny // 3)
-    nx_max = min(nx_max, geom.Nx // 2)
-    j_max = min(j_max, geom.Ny)
+    nx_max = max(1, geom.Nx // 6)
+    j_max = max(1, geom.Ny // 3)
 
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((geom.Nx // 2 + 1, geom.Ny), dtype=complex)

@@ -1,4 +1,4 @@
-"""Strip geometry, Dirichlet sine eigenbasis, and the triple-product oracle.
+"""Strip geometry and the Dirichlet sine eigenbasis.
 
 The channel strip is periodic in x on [-Lx, Lx) and carries homogeneous
 Dirichlet conditions at y = 0 and y = B.  In y we use the orthonormal
@@ -15,7 +15,6 @@ live in :mod:`zkbstrip.fields`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,38 +95,3 @@ def evaluate_mode(j: int, y, B: float):
     vals = np.sqrt(2.0 / B) * np.sin(j * np.pi * y / B)
     return float(vals) if vals.ndim == 0 else vals
 
-
-# ---------------------------------------------------------------------------
-# Triple-product coupling oracle
-# ---------------------------------------------------------------------------
-
-def _cos_sin_integral(m: int, k: int) -> float:
-    # int_0^pi cos(m t) sin(k t) dt, closed form
-    m = abs(m)
-    if k == m:
-        return 0.0
-    return k * (1 - (-1) ** (k + m)) / (k * k - m * m)
-
-
-@lru_cache(maxsize=None)
-def _sin_triple(i: int, j: int, k: int) -> float:
-    # int_0^pi sin(i t) sin(j t) sin(k t) dt via product-to-sum
-    return 0.5 * (_cos_sin_integral(i - j, k) - _cos_sin_integral(i + j, k))
-
-
-def coupling_coefficient(i: int, j: int, k: int, B: float) -> float:
-    """Exact triple-product integral of orthonormal modes over (0, B).
-
-    Symmetric in (i, j, k) and zero whenever i + j + k is even.  This is
-    the oracle the pseudospectral nonlinearity is tested against; the
-    solver itself never builds the O(N**3) tensor.
-    """
-    for idx in (i, j, k):
-        if idx < 1:
-            raise ValueError(f"mode index must be >= 1, got {idx}")
-    if not B > 0:
-        raise ValueError(f"strip width B must be positive, got {B}")
-    if (i + j + k) % 2 == 0:
-        return 0.0
-    i, j, k = sorted((i, j, k))  # bitwise-identical under permutations
-    return (2.0 / B) ** 1.5 * (B / np.pi) * _sin_triple(i, j, k)

@@ -178,23 +178,6 @@ def _cached_stepper(geom: StripGeometry, cfg: SolverConfig) -> Stepper:
     return Stepper(geom, cfg)
 
 
-def nonlinear_term(u: Field, dealias: bool = True) -> Field:
-    """Pseudospectral u*u_x of the band projection of u.
-
-    Like the stepper's state, u is first cut to the retained band
-    (:func:`band_shape`), so modes of u outside it do not enter; without
-    dealiasing the band is every mode.  With dealiasing on, the result
-    is the exact band-limited x-projection of u*u_x and the 2/3-filtered
-    sine projection in y, and the discrete pairing (u*u_x, u) over the
-    grid vanishes identically.
-    """
-    band = _band(u.geometry, dealias)
-    out = band.scatter(-band.rhs(band.gather(u.coeffs)))
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise FloatingPointError("non-finite values in nonlinear term")
-    return Field(u.geometry, out)
-
-
 def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
     """Integrate to t_end, sampling diagnostics every output_every steps.
 
@@ -216,7 +199,7 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
             f"t_end = {cfg.t_end} is not an integer number of steps of {cfg.dt}"
         )
 
-    series = TimeSeries(geometry=geom, samples=[], solver_config=cfg)
+    series = TimeSeries(geometry=geom, samples=[])
 
     l2_0 = parseval_sum(st.w_l2, c)
     blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
@@ -238,7 +221,6 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
         l2_now = parseval_sum(st.w_l2, c)
         if not math.isfinite(l2_now) or l2_now > blow_limit:
             series.status = "blow-up"
-            series.blow_up_time = n * cfg.dt
             raise BlowUpError(n * cfg.dt, l2_now, series)
 
         if cfg.diss_per_step:

@@ -65,25 +65,6 @@ def constants_for_width(B: float) -> TheoremConstants:
     )
 
 
-class GammaPoint(NamedTuple):
-    b: float
-    u0_bound: float
-    chi: float
-
-
-def gamma_tradeoff(gamma: float, B: float) -> GammaPoint:
-    """Weight rate, data bound, and decay rate at a given gamma in (0,1)."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if not B > 0:
-        raise ValueError(f"strip width B must be positive, got {B}")
-    target = gamma * math.pi**2 / (B * B)
-    b = (-4.0 + math.sqrt(16.0 + 40.0 * target)) / 20.0
-    u0_bound = 0.75 * (1.0 - gamma) * math.pi / B
-    chi = b * gamma * (1.0 - gamma) * math.pi**2 / (B * B)
-    return GammaPoint(b=b, u0_bound=u0_bound, chi=chi)
-
-
 class SmallnessCheck(NamedTuple):
     ok: bool
     margin: float
@@ -134,7 +115,7 @@ def verify_gn(u: "Field") -> InequalityCheck:
     norm is integrated on a 2x-refined grid so the quartic is alias-free
     for band-limited fields.
     """
-    vals, fine = u.values_padded(2, 2)
+    vals, fine = u.values_padded()
     wx = _x_weights(fine, 0.0)
     l4sq = math.sqrt(fine.dy * float(np.sum(wx[:, None] * vals**4)))
     rhs = 2.0 * math.sqrt(u.l2sq()) * math.sqrt(u.gradsq())

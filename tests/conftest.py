@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.fft import dst, irfft, rfft
 
-from zkbstrip import StripGeometry, run
+from zkbstrip import Field, StripGeometry, run
+from zkbstrip.fields import _band
 
 
 # Reference transforms built on scipy.fft alone, independent of the
@@ -29,6 +32,45 @@ def reference_to_grid(coeffs, g):
     """Coefficients (Nx//2+1, Ny) -> grid samples (Nx, Ny)."""
     return reference_sine_values(irfft(coeffs, n=g.Nx, axis=0) * g.Nx, g,
                                  axis=1)
+
+
+# Triple-product coupling oracle: the exact y-integral of three modes,
+# against which the pseudospectral nonlinearity is tested.
+
+def _cos_sin_integral(m: int, k: int) -> float:
+    # int_0^pi cos(m t) sin(k t) dt, closed form
+    m = abs(m)
+    if k == m:
+        return 0.0
+    return k * (1 - (-1) ** (k + m)) / (k * k - m * m)
+
+
+@lru_cache(maxsize=None)
+def _sin_triple(i: int, j: int, k: int) -> float:
+    # int_0^pi sin(i t) sin(j t) sin(k t) dt via product-to-sum
+    return 0.5 * (_cos_sin_integral(i - j, k) - _cos_sin_integral(i + j, k))
+
+
+def coupling_coefficient(i: int, j: int, k: int, B: float) -> float:
+    """Exact triple-product integral of orthonormal modes over (0, B).
+
+    Symmetric in (i, j, k) and zero whenever i + j + k is even.
+    """
+    for idx in (i, j, k):
+        if idx < 1:
+            raise ValueError(f"mode index must be >= 1, got {idx}")
+    if not B > 0:
+        raise ValueError(f"strip width B must be positive, got {B}")
+    if (i + j + k) % 2 == 0:
+        return 0.0
+    i, j, k = sorted((i, j, k))  # bitwise-identical under permutations
+    return (2.0 / B) ** 1.5 * (B / np.pi) * _sin_triple(i, j, k)
+
+
+def nonlinear_term(u, dealias=True):
+    """u*u_x of the band projection of u, by the package's band product."""
+    band = _band(u.geometry, dealias)
+    return Field(u.geometry, band.scatter(-band.rhs(band.gather(u.coeffs))))
 
 
 def final_field(u0, cfg):

@@ -18,7 +18,6 @@ from zkbstrip import (
     SolverConfig,
     StripGeometry,
     constants_for_width,
-    coupling_coefficient,
     default_fit_window,
     energy_residual,
     evaluate_mode,
@@ -26,7 +25,6 @@ from zkbstrip import (
     linear_symbol,
     make_initial_field,
     make_random_field,
-    nonlinear_term,
     run,
     verify_gn,
     verify_steklov,
@@ -34,7 +32,12 @@ from zkbstrip import (
 )
 from zkbstrip.diagnostics import CONTAMINATION_THRESHOLD
 
-from conftest import final_field, reference_sine_coeffs
+from conftest import (
+    coupling_coefficient,
+    final_field,
+    nonlinear_term,
+    reference_sine_coeffs,
+)
 
 CHI_REF = 0.025
 SWEEP_GEOM = StripGeometry(B=math.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
@@ -55,8 +58,8 @@ def test_criterion_1_constants_exactness():
 
 
 def test_criterion_2_energy_identity(paper_ref):
-    _, series = paper_ref
-    assert series.solver_config.diss_per_step
+    config, series = paper_ref
+    assert config.solver.diss_per_step
     residual = energy_residual(series)
     assert residual < 1e-6
     report(2, f"max relative energy residual {residual:.3e} < 1e-6 "

@@ -7,6 +7,7 @@ import pytest
 from zkbstrip import InitialData, make_initial_field, run, weighted_inner
 from zkbstrip import cli
 from zkbstrip.cli import (
+    CSV_HEADER,
     ConfigError,
     cdep_experiment,
     fmt,
@@ -134,6 +135,22 @@ class TestParseConfig:
         assert parse_config(json.dumps(doc)).experiment.fit_window == [1.0, 2.0]
         doc = base_doc(experiment={"fit_window": "everything"})
         with pytest.raises(ConfigError, match="fit_window"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("window", [
+        [True, 2], [float("nan"), 1], ["a", 1], [1, float("inf")], [5, 1],
+        [1, 1],
+    ])
+    def test_fit_window_rejects_bad_bounds(self, window):
+        doc = base_doc(experiment={"fit_window": window})
+        with pytest.raises(ConfigError, match=r"experiment\.fit_window"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("norm", [-0.5, 0])
+    def test_target_norm_must_be_positive(self, norm):
+        doc = base_doc(initial={"target_l2_norm": norm})
+        with pytest.raises(ConfigError,
+                           match="invalid initial block: target_l2_norm"):
             parse_config(json.dumps(doc))
 
     def test_custom_samples_config(self):
@@ -299,6 +316,39 @@ class TestFitDecayCommand:
     def test_missing_run_dir(self, tmp_path):
         assert main(["fit-decay", "--out", str(tmp_path / "ghost")]) == 1
 
+    def test_empty_series_is_usage_error(self, tmp_path, capsys):
+        # a checksummed run directory whose series.csv is empty
+        doc = base_doc(solver={"t_end": 0.1, "output_every": 100})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        (out / "series.csv").write_text("")
+        cli.write_manifest(out, parse_config(json.dumps(doc)), status="clean",
+                           started="")
+        capsys.readouterr()
+        assert main(["fit-decay", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "series.csv, line 1" in err
+
+
+class TestReadSeriesCsv:
+    ROW = ",".join(["0.0"] * 7)
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("t,l2\n", 1),
+        (f"{CSV_HEADER}\n{ROW}\n0.1,1.0,0.0\n", 3),
+        (f"{CSV_HEADER}\n{ROW},0.0\n", 2),
+        (f"{CSV_HEADER}\n0.1,x,0,0,0,0,0\n", 2),
+    ], ids=["empty", "wrong-header", "short-row", "long-row", "non-number"])
+    def test_bad_input_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        geom = parse_config(json.dumps(base_doc())).geometry
+        with pytest.raises(ConfigError) as info:
+            read_series_csv(path, geom)
+        assert f"{path}, line {line}" in str(info.value)
+
 
 class TestVerifyCommand:
     def test_steklov_suite(self, capsys):
@@ -347,6 +397,20 @@ class TestUsageErrors:
             main(argv)
         assert info.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--B", "3.0", "--amps", "0.5"],
+        ["cdep", "--eps", "1e-3"],
+    ])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, command):
+        doc = base_doc(solver={"t_end": 0.1})
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        code = main([*command, "--config", write_config(tmp_path, doc),
+                     "--out", str(blocker / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -10,7 +10,6 @@ from zkbstrip import (
     SolverConfig,
     StripGeometry,
     TimeSeries,
-    compute_J0,
     default_fit_window,
     energy_residual,
     evaluate_mode,
@@ -21,6 +20,7 @@ from zkbstrip import (
     tail_mass,
     weighted_inner,
 )
+from zkbstrip.diagnostics import weighted_dy_sq
 
 
 def gaussian_mode_field(geom, amplitude=1.0, s=1.0, j=1):
@@ -119,64 +119,28 @@ class TestEnergyResidual:
         assert energy_residual(run(f0, cfg)) < 1e-6
 
 
-class TestComputeJ0:
-    def test_zero(self, small_geom):
-        assert compute_J0(Field.zeros(small_geom), 0.1) == 0.0
-
-    def test_gaussian_closed_form(self):
-        # u = exp(-x^2) w1(y), b = 0: every term integrates in closed form
-        B = np.pi
-        g = StripGeometry(B=B, Lx=10.0, Nx=256, Ny=32, b=0.0)
-        u = gaussian_mode_field(g)
-        lam1 = (np.pi / B) ** 2
-        half = math.sqrt(math.pi / 2.0)
-        a = 12.0 + 2.0 * lam1
-        expected = (
-            half * (1.0 + 1.0 + lam1)            # u^2 (twice) + u_y^2
-            + half * (1.0 + 3.0 + lam1)          # u_x^2 + u_xx^2 + u_xy^2
-            + (math.sqrt(math.pi) / 4.0) * (3.0 / (2.0 * B))  # u^2 u_x^2
-            + half * (a * a / 4.0 - 3.0 * a + 15.0)           # |lap u_x|^2
-        )
-        assert compute_J0(u, 0.0) == pytest.approx(expected, rel=1e-10)
-
+class TestWeightedDySq:
     def test_dense_grid_oracle(self):
-        # independent trapezoid quadrature of analytic derivatives
-        B = 2.0
-        g = StripGeometry(B=B, Lx=8.0, Nx=128, Ny=24, b=0.05)
-        u = gaussian_mode_field(g, s=1.3, j=2)
+        # independent trapezoid quadrature of the analytic derivatives of
+        # u = exp(-x^2/s^2) w_2(y), at a positive weight rate
+        B, b, s = 2.0, 0.05, 1.3
+        g = StripGeometry(B=B, Lx=8.0, Nx=128, Ny=24, b=b)
+        u = gaussian_mode_field(g, s=s, j=2)
 
         x = np.linspace(-8.0, 8.0, 4001)
         y = np.linspace(0.0, B, 2001)
         X, Y = np.meshgrid(x, y, indexing="ij")
-        s, lam = 1.3, (2 * np.pi / B) ** 2
-        w = np.sqrt(2 / B) * np.sin(2 * np.pi * Y / B)
-        wp = np.sqrt(2 / B) * (2 * np.pi / B) * np.cos(2 * np.pi * Y / B)
-        e = np.exp(-(X**2) / s**2)
-        U = e * w
-        Ux = -2 * X / s**2 * e * w
-        Uy = e * wp
-        Uxx = (4 * X**2 / s**4 - 2 / s**2) * e * w
-        Uxy = -2 * X / s**2 * e * wp
-        Uxxx = (-8 * X**3 / s**6 + 12 * X / s**4) * e * w
-        Uxyy = 2 * lam * X / s**2 * e * w
-        integrand = U**2 + np.exp(2 * 0.05 * X) * (
-            U**2 + Ux**2 + Uy**2 + Uxx**2 + Uxy**2 + U**2 * Ux**2
-            + (Uxxx + Uxyy) ** 2
-        )
-        oracle = np.trapezoid(np.trapezoid(integrand, y, axis=1), x)
-        assert compute_J0(u, 0.05) == pytest.approx(oracle, rel=1e-8)
+        Uy = (np.exp(-(X**2) / s**2)
+              * np.sqrt(2 / B) * (2 * np.pi / B) * np.cos(2 * np.pi * Y / B))
+        Uxy = -2 * X / s**2 * Uy
+        weight = np.exp(2 * b * X)
 
-    def test_quadratic_scaling_at_small_amplitude(self):
-        g = StripGeometry(B=np.pi, Lx=8.0, Nx=128, Ny=16, b=0.1)
-        u = gaussian_mode_field(g)
-        j3 = compute_J0(1e-3 * u, 0.1) / 1e-6
-        j4 = compute_J0(1e-4 * u, 0.1) / 1e-8
-        assert j3 == pytest.approx(j4, rel=1e-6)
+        def oracle(f):
+            return np.trapezoid(np.trapezoid(weight * f**2, y, axis=1), x)
 
-    def test_dominates_l2(self, small_geom):
-        for seed in range(5):
-            u = make_random_field(small_geom, seed=seed)
-            assert compute_J0(u, small_geom.b) >= u.l2sq()
+        assert weighted_dy_sq(u, b) == pytest.approx(oracle(Uy), rel=1e-8)
+        assert weighted_dy_sq(u.dx(), b) == pytest.approx(oracle(Uxy),
+                                                          rel=1e-8)
 
 
 class TestFitDecayRate:

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zkbstrip import (
-    StripGeometry,
-    coupling_coefficient,
-    eigenvalue,
-    evaluate_mode,
-)
+from zkbstrip import StripGeometry, eigenvalue, evaluate_mode
 from zkbstrip.fields import parseval_sum, parseval_tables, to_grid, to_spectral
 
-from conftest import reference_to_grid, reference_to_spectral
+from conftest import (
+    coupling_coefficient,
+    reference_to_grid,
+    reference_to_spectral,
+)
 
 
 class TestEigenvalue:

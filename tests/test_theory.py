@@ -12,7 +12,6 @@ from zkbstrip import (
     check_smallness,
     constants_for_width,
     evaluate_mode,
-    gamma_tradeoff,
     make_initial_field,
     make_random_field,
     verify_gn,
@@ -69,39 +68,6 @@ class TestConstants:
             constants_for_width(0.0)
         with pytest.raises(ValueError):
             constants_for_width(-3.0)
-
-
-class TestGammaTradeoff:
-    def test_half_reproduces_constants(self):
-        for B in (0.5, math.pi, 11.0):
-            c = constants_for_width(B)
-            g = gamma_tradeoff(0.5, B)
-            assert g.b == pytest.approx(c.b_star, rel=1e-14)
-            assert g.u0_bound == pytest.approx(c.reg_threshold, rel=1e-14)
-            assert g.chi == pytest.approx(c.chi, rel=1e-14)
-
-    def test_quadratic_is_satisfied(self):
-        for gamma in (0.1, 0.5, 0.9):
-            B = 2.0
-            g = gamma_tradeoff(gamma, B)
-            assert 4 * g.b + 10 * g.b**2 == pytest.approx(
-                gamma * math.pi**2 / B**2, rel=1e-12
-            )
-
-    def test_degenerate_limits(self):
-        B = math.pi
-        lo = gamma_tradeoff(1e-9, B)
-        assert lo.b == pytest.approx(0.0, abs=1e-9)
-        assert lo.chi == pytest.approx(0.0, abs=1e-9)
-        hi = gamma_tradeoff(1.0 - 1e-12, B)
-        assert hi.u0_bound == pytest.approx(0.0, abs=1e-11)
-        assert hi.chi == pytest.approx(0.0, abs=1e-11)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_tradeoff(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_tradeoff(1.0, 1.0)
 
 
 class TestSmallness:
@@ -230,20 +196,3 @@ class TestHypothesisProperties:
         assert weak.threshold == pytest.approx(reg.threshold / 2.0, rel=1e-12)
         if weak.ok:
             assert reg.ok
-
-    @given(gamma=st.floats(min_value=1e-6, max_value=1.0 - 1e-6,
-                           allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_gamma_point_is_consistent(self, gamma):
-        # the weight rate solves its defining quadratic, and the decay
-        # rate is b*gamma*(1-gamma)*pi^2/B^2, positive throughout (0,1)
-        B = math.pi
-        point = gamma_tradeoff(gamma, B)
-        assert point.b > 0
-        assert 4 * point.b + 10 * point.b**2 == pytest.approx(
-            gamma * math.pi**2 / B**2, rel=1e-10
-        )
-        assert point.chi == pytest.approx(
-            point.b * gamma * (1 - gamma) * math.pi**2 / B**2, rel=1e-12
-        )
-        assert point.chi > 0
