@@ -343,6 +343,8 @@ def read_series_csv(path: Path, geometry: StripGeometry) -> TimeSeries:
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"malformed row in {path}, line {lineno}: {exc}") from exc
+    if not samples:
+        raise ConfigError(f"{path} has no samples, only its header")
     series = TimeSeries(geometry=geometry, samples=samples)
     series.flag_contamination()
     return series
@@ -374,8 +376,18 @@ def write_manifest(out: Path, config: RunConfig, *, status: str, seed=None,
 
 def read_manifest(out: Path) -> dict:
     """The manifest of a run directory, after checking every file's checksum."""
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    for name, meta in manifest.get("files", {}).items():
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    for key in ("config", "status", "files"):
+        if key not in manifest:
+            raise ConfigError(f"{path} has no {key!r} key")
+    if not isinstance(manifest["files"], dict):
+        raise ConfigError(f"{path}: 'files' is not a JSON object")
+    for name, meta in manifest["files"].items():
+        if not isinstance(meta, dict) or "sha256" not in meta:
+            raise ConfigError(f"{path} has no 'sha256' key for {name}")
         if _sha256(out / name) != meta["sha256"]:
             raise ConfigError(f"checksum mismatch for {name} in {out}")
     return manifest
@@ -492,8 +504,7 @@ def _verification_geometry() -> StripGeometry:
 _CORPUS_SUITES = {
     "steklov": lambda u, b: [verify_steklov(u, b)],
     "gn": lambda u, b: [verify_gn(u)],
-    "sup": lambda u, b: [verify_sup_lemma(u, b, delta, 1.0)
-                         for delta in (0.1, 1.0, 10.0)],
+    "sup": lambda u, b: verify_sup_lemma(u, b, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
 }
 
 
@@ -721,6 +732,8 @@ def cmd_cdep(args) -> int:
     if args.eps == 0:
         print(json.dumps({"eps": 0.0, "note": "identical runs"}, indent=2))
         return EXIT_OK
+    if args.out:  # created before the runs, so a bad --out costs none
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         report = cdep_experiment(config, args.eps)
     except BlowUpError as exc:
@@ -729,10 +742,8 @@ def cmd_cdep(args) -> int:
         return EXIT_BLOWUP
     print(json.dumps(report, indent=2))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "cdep.json").write_text(json.dumps(report, indent=2) + "\n",
-                                       encoding="utf-8")
+        (Path(args.out) / "cdep.json").write_text(
+            json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK if report["stable"] else EXIT_USAGE
 
 

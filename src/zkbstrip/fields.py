@@ -118,9 +118,10 @@ def to_spectral(values: np.ndarray, geom: StripGeometry) -> np.ndarray:
 
 
 def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
-    """Coefficient tensor -> real grid samples (Nx, Ny)."""
+    """Coefficients (Nx//2+1, J) of the first J <= Ny y modes -> grid (Nx, Ny)."""
     band = _band(geom, False)
-    return (irfft(coeffs, n=geom.Nx, axis=0) @ band.sines.T) * band.grid_scale
+    sines = band.sines[:, : coeffs.shape[1]]
+    return (irfft(coeffs, n=geom.Nx, axis=0) @ sines.T) * band.grid_scale
 
 
 class ParsevalTables(NamedTuple):
@@ -248,9 +249,8 @@ class Field:
         """
         geom = self.geometry
         fine = StripGeometry(geom.B, geom.Lx, 2 * geom.Nx, 2 * geom.Ny, geom.b)
-        pad = np.zeros((fine.Nx // 2 + 1, fine.Ny), dtype=complex)
-        pad[: geom.Nx // 2 + 1, : geom.Ny] = self.coeffs
-        pad[geom.Nx // 2, :] /= 2.0  # Nyquist splits into +/- pair
+        pad = np.concatenate([self.coeffs, np.zeros((geom.Nx // 2, geom.Ny))])
+        pad[geom.Nx // 2] /= 2.0  # Nyquist splits into +/- pair
         return to_grid(pad, fine), fine
 
 

@@ -152,7 +152,7 @@ def test_criterion_7_gn_and_sup_suites():
     worst_sup = math.inf
     for seed in range(100):
         u = make_random_field(SWEEP_GEOM, seed=1000 + seed)
-        res = verify_sup_lemma(u, SWEEP_GEOM.b, 1.0, 1.0)
+        (res,) = verify_sup_lemma(u, SWEEP_GEOM.b, ((1.0, 1.0),))
         assert res.holds
         worst_sup = min(worst_sup, (res.rhs - res.lhs) / res.rhs)
     report(7, f"interpolation bound worst margin {worst_gn:.3e}; "

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -330,6 +331,74 @@ class TestFitDecayCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "series.csv, line 1" in err
 
+    def test_header_only_series_is_usage_error(self, tmp_path, capsys):
+        # a checksummed run directory whose series.csv has no samples
+        doc = base_doc(solver={"t_end": 0.1, "output_every": 100})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        (out / "series.csv").write_text(CSV_HEADER + "\n")
+        cli.write_manifest(out, parse_config(json.dumps(doc)), status="clean",
+                           started="")
+        capsys.readouterr()
+        assert main(["fit-decay", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "series.csv has no samples" in err
+        assert "contaminated" not in err
+
+
+@pytest.fixture(scope="module")
+def small_run_dir(tmp_path_factory):
+    """A short checksummed run directory, copied by tests that damage it."""
+    tmp = tmp_path_factory.mktemp("smallrun")
+    doc = base_doc(solver={"t_end": 0.1, "output_every": 100})
+    out = tmp / "run"
+    assert main(["simulate", "--config", write_config(tmp, doc),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _without(*keys):
+    """Manifest edit: delete the entry at the path ``keys``."""
+    def edit(m):
+        node = m
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return m
+    return edit
+
+
+class TestMalformedManifest:
+    """A manifest.json that parses but is not what write_manifest wrote
+    ends fit-decay with ``error: ...`` naming the problem, and exit 1."""
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda m: ["not", "an", "object"], "does not hold a JSON object"),
+        (_without("status"), "no 'status' key"),
+        (_without("config"), "no 'config' key"),
+        (_without("files"), "no 'files' key"),
+        (lambda m: {**m, "files": ["series.csv"]},
+         "'files' is not a JSON object"),
+        (_without("files", "series.csv", "sha256"),
+         "no 'sha256' key for series.csv"),
+    ], ids=["not-an-object", "no-status", "no-config", "no-files",
+            "files-not-an-object", "no-sha256"])
+    def test_fit_decay_names_the_problem(self, small_run_dir, tmp_path, capsys,
+                                         damage, message):
+        out = tmp_path / "run"
+        shutil.copytree(small_run_dir, out)
+        path = out / "manifest.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["fit-decay", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+        with pytest.raises(ConfigError, match=message):
+            read_manifest(out)
+
 
 class TestReadSeriesCsv:
     ROW = ",".join(["0.0"] * 7)
@@ -402,7 +471,17 @@ class TestUsageErrors:
         ["sweep", "--B", "3.0", "--amps", "0.5"],
         ["cdep", "--eps", "1e-3"],
     ])
-    def test_out_that_cannot_be_created(self, tmp_path, capsys, command):
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        # --out is checked before any run: cdep_experiment is never called
+        experiments = []
+        real_experiment = cli.cdep_experiment
+
+        def spy(*args):
+            experiments.append(args)
+            return real_experiment(*args)
+
+        monkeypatch.setattr(cli, "cdep_experiment", spy)
         doc = base_doc(solver={"t_end": 0.1})
         blocker = tmp_path / "afile"
         blocker.write_text("")
@@ -411,6 +490,7 @@ class TestUsageErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert experiments == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

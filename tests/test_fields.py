@@ -12,7 +12,9 @@ from zkbstrip import (
     weighted_inner,
 )
 
-from conftest import reference_sine_values
+from zkbstrip.fields import to_grid
+
+from conftest import reference_sine_values, reference_to_grid
 
 
 class TestFieldBasics:
@@ -170,3 +172,38 @@ class TestRandomField:
         assert np.all(u.coeffs[nx_max + 1:, :] == 0.0)
         assert np.all(u.coeffs[:, j_max:] == 0.0)
         assert np.all(u.coeffs[: nx_max + 1, :j_max] != 0.0)
+
+
+def _random_coeffs(Nx, Ny, seed):
+    """Full-band coefficients of a real field; the mean and Nyquist slots
+    are real."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((Nx // 2 + 1, Ny)) + 1j * rng.standard_normal(
+        (Nx // 2 + 1, Ny))
+    c[0].imag = c[-1].imag = 0.0
+    return c
+
+
+class TestPaddedSynthesis:
+    @pytest.mark.parametrize("Nx,Ny", [(256, 32), (10, 7)])
+    def test_to_grid_on_leading_modes(self, Nx, Ny):
+        # the coarse grid's Ny modes synthesised on the (2Nx, 2Ny) grid
+        fine = StripGeometry(B=np.pi, Lx=10.0, Nx=2 * Nx, Ny=2 * Ny, b=0.1)
+        lead = _random_coeffs(fine.Nx, Ny, seed=Nx + Ny)
+        full = np.zeros((fine.Nx // 2 + 1, fine.Ny), complex)
+        full[:, :Ny] = lead
+        assert np.array_equal(to_grid(lead, fine), to_grid(full, fine))
+
+    @pytest.mark.parametrize("Nx,Ny", [(256, 32), (10, 7)])
+    def test_values_padded_matches_full_padding(self, Nx, Ny):
+        geom = StripGeometry(B=np.pi, Lx=10.0, Nx=Nx, Ny=Ny, b=0.1)
+        u = Field(geom, _random_coeffs(Nx, Ny, seed=3))
+        vals, fine = u.values_padded()
+        assert (fine.Nx, fine.Ny) == (2 * Nx, 2 * Ny)
+        pad = np.zeros((Nx + 1, 2 * Ny), complex)
+        pad[: Nx // 2 + 1, :Ny] = u.coeffs
+        pad[Nx // 2] /= 2.0  # the Nyquist slot splits into a +/- pair
+        assert np.array_equal(vals, to_grid(pad, fine))
+        # and the scipy reference transform of the same padding
+        err = np.max(np.abs(vals - reference_to_grid(pad, fine)))
+        assert err < 1e-13 * np.max(np.abs(vals))

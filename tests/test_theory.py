@@ -17,7 +17,10 @@ from zkbstrip import (
     verify_gn,
     verify_steklov,
     verify_sup_lemma,
+    weighted_inner,
 )
+from zkbstrip import theory
+from zkbstrip.diagnostics import weighted_dy_sq
 
 VERIF_GEOM = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
 
@@ -148,10 +151,27 @@ class TestGagliardoNirenberg:
         )
         assert verify_gn(fld).holds
 
+    def test_lhs_matches_pow_quadrature(self):
+        # ||u||_{L4}^2 from vals**4 on the refined grid, where every
+        # trapezoid weight in x is dx (no weighting)
+        fld, _, _ = make_initial_field(
+            InitialData(kind="gaussian_mode", amplitude=0.7, s=1.2, j=2),
+            VERIF_GEOM,
+        )
+        corpus = [make_random_field(VERIF_GEOM, seed=s) for s in range(20)]
+        for u in [*corpus, fld]:
+            vals, fine = u.values_padded()
+            ref = math.sqrt(fine.dx * fine.dy * float(np.sum(vals**4)))
+            assert verify_gn(u).lhs == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 
 class TestSupLemma:
+    # distinct deltas and delta1s, so a swap inside a pair or a reordering
+    # of the pairs changes some rhs
+    PAIRS = ((0.1, 1.0), (1.0, 0.5), (10.0, 2.0), (0.3, 7.0))
+
     def test_zero_field(self):
-        res = verify_sup_lemma(Field.zeros(VERIF_GEOM), 0.1, 1.0, 1.0)
+        (res,) = verify_sup_lemma(Field.zeros(VERIF_GEOM), 0.1, ((1.0, 1.0),))
         assert res.lhs == 0.0 and res.holds
 
     def test_gaussian_example(self):
@@ -159,22 +179,64 @@ class TestSupLemma:
             InitialData(kind="gaussian_mode", amplitude=1.0, s=1.0, j=1),
             VERIF_GEOM,
         )
-        res = verify_sup_lemma(fld, 0.1, 1.0, 1.0)
+        (res,) = verify_sup_lemma(fld, 0.1, ((1.0, 1.0),))
         assert res.holds
         assert res.lhs > 0.0 and res.rhs > res.lhs
 
     def test_delta_sweep(self):
+        pairs = ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))
         for seed in range(20):
             u = make_random_field(VERIF_GEOM, seed=seed)
-            for delta in (0.1, 1.0, 10.0):
-                assert verify_sup_lemma(u, VERIF_GEOM.b, delta, 1.0).holds
+            checks = verify_sup_lemma(u, VERIF_GEOM.b, pairs)
+            assert len(checks) == 3
+            assert all(c.holds for c in checks)
 
     def test_invalid_parameters(self):
         u = Field.zeros(VERIF_GEOM)
         with pytest.raises(ValueError):
-            verify_sup_lemma(u, 0.1, 0.0, 1.0)
+            verify_sup_lemma(u, 0.1, ((0.0, 1.0),))
         with pytest.raises(ValueError):
-            verify_sup_lemma(u, 0.1, 1.0, -2.0)
+            verify_sup_lemma(u, 0.1, ((1.0, -2.0),))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+                                     (1.0, -3.0), (math.nan, 1.0)],
+                             ids=["zero-delta", "zero-delta1", "negative-delta",
+                                  "negative-delta1", "nan-delta"])
+    def test_invalid_pair_at_any_position(self, monkeypatch, position, bad):
+        # rejected before any of the per-field integrals is computed
+        def no_work(*args):
+            raise AssertionError("integral computed before validation")
+
+        monkeypatch.setattr(theory, "weighted_dy_sq", no_work)
+        monkeypatch.setattr(theory, "_weighted_quad", no_work)
+        pairs = [(0.1, 1.0), (1.0, 1.0), (10.0, 1.0)]
+        pairs[position] = bad
+        u = make_random_field(VERIF_GEOM, seed=0)
+        with pytest.raises(ValueError, match="must be positive"):
+            verify_sup_lemma(u, VERIF_GEOM.b, tuple(pairs))
+
+    def test_shared_integrals_match_per_pair_evaluation(self):
+        b = VERIF_GEOM.b
+        for seed in range(20):
+            u = make_random_field(VERIF_GEOM, seed=seed)
+            ux = u.dx()
+            weight = np.exp(b * VERIF_GEOM.x_grid())[:, None]
+            sup = float(np.max(np.abs(weight * u.values)))
+            checks = verify_sup_lemma(u, b, self.PAIRS)
+            assert len(checks) == len(self.PAIRS)
+            for (delta, delta1), check in zip(self.PAIRS, checks):
+                # the lemma's rhs, evaluated afresh for this pair alone
+                rhs = (
+                    delta * (1.0 + 2.0 * b * b) * weighted_dy_sq(u, b)
+                    + 2.0 * delta * weighted_dy_sq(ux, b)
+                    + (2.0 * delta1 / delta) * weighted_inner(b, ux, ux)
+                    + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b)
+                    * weighted_inner(b, u, u)
+                )
+                assert check.lhs == sup * sup
+                assert check.rhs == rhs
+                assert check.holds
 
 
 class TestHypothesisProperties:
