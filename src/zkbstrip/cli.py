@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -195,8 +195,9 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(sol, dict):
         raise ConfigError("type mismatch at solver: expected object")
     _check_keys(sol, _SOLVER_KEYS, "solver.")
-    # the one scheme is still accepted by name, so older configs and
-    # stored manifests keep parsing
+    # the one scheme is still accepted by name, and diss_per_step as an
+    # ignored boolean (the dissipation is accumulated at every step), so
+    # older configs and stored manifests keep parsing
     if sol.get("scheme", "exponential-RK4") != "exponential-RK4":
         raise ConfigError(
             f"invalid value at solver.scheme: expected \"exponential-RK4\", "
@@ -213,7 +214,6 @@ def parse_config(text: str) -> RunConfig:
             convection=_integer(sol, "solver.", "convection", default=0),
             output_every=_integer(sol, "solver.", "output_every", default=1),
             nonlinear=sol.get("nonlinear", True),
-            diss_per_step=sol.get("diss_per_step", False),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid solver block: {exc}") from exc
@@ -277,8 +277,7 @@ def paper_ref_config() -> RunConfig:
     doc = {
         "schema": 1,
         "geometry": {"B": math.pi, "Lx": 30.0, "Nx": 1024, "Ny": 32, "b": "auto"},
-        "solver": {"dt": 1e-3, "t_end": 40.0, "output_every": 100,
-                   "diss_per_step": True},
+        "solver": {"dt": 1e-3, "t_end": 40.0, "output_every": 100},
         "initial": {"kind": "gaussian_mode", "amplitude": 1.0, "x0": 0.0,
                     "s": 2.0, "j": 1,
                     "target_l2_norm": 0.9 * consts.weak_threshold},
@@ -398,16 +397,7 @@ def read_manifest(out: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    consts = constants_for_width(args.B)
-    payload = {
-        "B": consts.B,
-        "b_star": consts.b_star,
-        "chi": consts.chi,
-        "gamma": consts.gamma,
-        "reg_threshold": consts.reg_threshold,
-        "weak_threshold": consts.weak_threshold,
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(asdict(constants_for_width(args.B)), indent=2))
     return EXIT_OK
 
 
@@ -498,13 +488,13 @@ def _verification_geometry() -> StripGeometry:
     return StripGeometry(B=math.pi, Lx=10.0, Nx=256, Ny=32, b=consts.b_star)
 
 
-# Per-field inequality checks of each corpus suite: (field, weight rate)
-# -> checks.  The verifiers are looked up by module-level name at call
-# time, so a wrapper installed on those names sees every call.
+# Per-field inequality checks of each corpus suite: field -> checks.
+# The verifiers are looked up by module-level name at call time, so a
+# wrapper installed on those names sees every call.
 _CORPUS_SUITES = {
-    "steklov": lambda u, b: [verify_steklov(u, b)],
-    "gn": lambda u, b: [verify_gn(u)],
-    "sup": lambda u, b: verify_sup_lemma(u, b, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
+    "steklov": lambda u: [verify_steklov(u)],
+    "gn": lambda u: [verify_gn(u)],
+    "sup": lambda u: verify_sup_lemma(u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
 }
 
 
@@ -528,7 +518,7 @@ def verify_suite(suite: str, samples: int, seed: int) -> dict:
     geom = _verification_geometry()
     checks = _CORPUS_SUITES[suite]
     results = [r for i in range(samples)
-               for r in checks(make_random_field(geom, seed + i), geom.b)]
+               for r in checks(make_random_field(geom, seed + i))]
     report["all_hold"] = all(r.holds for r in results)
     report["worst_margin"] = min(margin(r) for r in results)
     return report
@@ -554,7 +544,7 @@ def _energy_sample(index: int, seed: int) -> float:
         j=int(rng.integers(1, 4)),
     )
     u0 = make_initial_field(init, geom).field
-    cfg = SolverConfig(dt=1e-3, t_end=1.0, output_every=100, diss_per_step=True)
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, output_every=100)
     return energy_residual(run(u0, cfg))
 
 
@@ -701,7 +691,7 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
 
         def compare(sample, u) -> bool:
             z = Field(geom, u.coeffs - clean[len(diffs)])
-            diffs.append(weighted_inner(geom.b, z, z))
+            diffs.append(weighted_inner(z, z))
             return len(diffs) == len(clean)
 
         run(base_init.field + e * bump_init.field, config.solver,
@@ -729,22 +719,21 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
 
 def cmd_cdep(args) -> int:
     config = load_config(args.config)
-    if args.eps == 0:
-        print(json.dumps({"eps": 0.0, "note": "identical runs"}, indent=2))
-        return EXIT_OK
     if args.out:  # created before the runs, so a bad --out costs none
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    try:
-        report = cdep_experiment(config, args.eps)
-    except BlowUpError as exc:
-        print(f"blow-up at t = {exc.t:.6g} during continuous-dependence runs",
-              file=sys.stderr)
-        return EXIT_BLOWUP
+    report = {"eps": 0.0, "note": "identical runs"}
+    if args.eps != 0:
+        try:
+            report = cdep_experiment(config, args.eps)
+        except BlowUpError as exc:
+            print(f"blow-up at t = {exc.t:.6g} during continuous-dependence"
+                  " runs", file=sys.stderr)
+            return EXIT_BLOWUP
     print(json.dumps(report, indent=2))
     if args.out:
         (Path(args.out) / "cdep.json").write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return EXIT_OK if report["stable"] else EXIT_USAGE
+    return EXIT_OK if report.get("stable", True) else EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Norms, functionals, and decay-rate fits for fields and run histories.
 
-All weighted pairings carry an explicit weight rate ``b`` and integrate
-exp(2*b*x)*f*g over the strip.  x uses the uniform trapezoid rule on
-[-Lx, Lx] (the periodic grid value at -Lx serves both endpoints); y uses
-the interior rectangle rule matched to the sine basis, which is exact
-for sine-content integrands, while y-derivative (cosine-content)
-energies are summed in mode space where their orthogonality is exact.
+Every weighted pairing integrates exp(2*b*x)*f*g over the strip, with
+the weight rate b of the field's geometry.  x uses the uniform
+trapezoid rule on [-Lx, Lx] (the periodic grid value at -Lx serves both
+endpoints); y uses the interior rectangle rule matched to the sine
+basis, which is exact for sine-content integrands, while y-derivative
+(cosine-content) energies are summed in mode space where their
+orthogonality is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,28 +26,29 @@ TAIL_BAND_FRACTION = 0.1
 NORM_COLUMNS = ("l2", "diss_cum", "w_l2", "w_h1", "sup_w", "tail")
 
 
-def _x_weights(geom: StripGeometry, b: float) -> np.ndarray:
-    """Trapezoid weights for int_{-Lx}^{Lx} exp(2bx) * (periodic fn) dx."""
-    w = geom.dx * np.exp(2.0 * b * geom.x_grid())
-    w[0] = geom.dx * math.cosh(2.0 * b * geom.Lx)
+@lru_cache(maxsize=32)
+def _x_weights(geom: StripGeometry) -> np.ndarray:
+    """Read-only trapezoid weights for int_{-Lx}^{Lx} exp(2bx) *
+    (periodic fn) dx, computed once per geometry."""
+    w = geom.dx * np.exp(2.0 * geom.b * geom.x_grid())
+    w[0] = geom.dx * math.cosh(2.0 * geom.b * geom.Lx)
+    w.setflags(write=False)  # shared through the cache
     return w
 
 
-def _weighted_quad(
-    geom: StripGeometry, b: float, fvals: np.ndarray, gvals: np.ndarray
-) -> float:
-    wx = _x_weights(geom, b)
-    return geom.dy * float(np.sum(wx[:, None] * fvals * gvals))
+def _weighted_quad(geom: StripGeometry, fvals: np.ndarray,
+                   gvals: np.ndarray) -> float:
+    return geom.dy * float(np.sum(_x_weights(geom)[:, None] * fvals * gvals))
 
 
-def weighted_inner(b: float, f: Field, g: Field) -> float:
+def weighted_inner(f: Field, g: Field) -> float:
     """Weighted pairing (exp(2bx) f, g) over the strip."""
     if f.geometry != g.geometry:
         raise ValueError("fields live on different grids")
-    return _weighted_quad(f.geometry, b, f.values, g.values)
+    return _weighted_quad(f.geometry, f.values, g.values)
 
 
-def weighted_dy_sq(u: Field, b: float) -> float:
+def weighted_dy_sq(u: Field) -> float:
     """(exp(2bx), u_y^2), with the y-integral done in mode space.
 
     u_y is a cosine series, which the interior rectangle rule does not
@@ -55,31 +58,28 @@ def weighted_dy_sq(u: Field, b: float) -> float:
     geom = u.geometry
     modal_x = _band(geom, False).x_modes(u.coeffs)
     lam = geom.eigenvalues()
-    wx = _x_weights(geom, b)
-    return float(np.sum(wx[:, None] * lam[None, :] * modal_x**2))
+    return float(np.sum(_x_weights(geom)[:, None] * lam[None, :] * modal_x**2))
 
 
-def tail_mass(u: Field, b: float) -> float:
+def weighted_sup(u: Field) -> float:
+    """Grid maximum of |exp(bx) u|."""
+    weight = np.exp(u.geometry.b * u.geometry.x_grid())
+    return float(np.max(np.abs(weight[:, None] * u.values)))
+
+
+def tail_mass(u: Field) -> float:
     """Fraction of (exp(2bx), u^2) carried by the outer 10% x-bands.
 
-    The grid point at -Lx doubles as the periodic +Lx endpoint; its
-    trapezoid half-cells are assigned to the left and right band
-    respectively.  Returns 0 for a zero field.
+    The endpoint row at -Lx stands for both periodic endpoints, so its
+    whole weight lies in the bands.  Returns 0 for a zero field.
     """
     geom = u.geometry
-    x = geom.x_grid()
-    usq = np.sum(u.values**2, axis=1)
-    density = np.exp(2.0 * b * x) * usq
-    endpoint_left = 0.5 * math.exp(-2.0 * b * geom.Lx) * usq[0]
-    endpoint_right = 0.5 * math.exp(2.0 * b * geom.Lx) * usq[0]
-    total = float(np.sum(density[1:])) + endpoint_left + endpoint_right
+    density = _x_weights(geom) * np.sum(u.values**2, axis=1)
+    total = float(np.sum(density))
     if total == 0.0:
         return 0.0
     edge = (1.0 - 2.0 * TAIL_BAND_FRACTION) * geom.Lx
-    band = (x >= edge) | (x <= -edge)
-    band[0] = False
-    in_band = float(np.sum(density[band])) + endpoint_left + endpoint_right
-    return in_band / total
+    return float(np.sum(density[np.abs(geom.x_grid()) >= edge])) / total
 
 
 @dataclass(frozen=True)
@@ -103,21 +103,15 @@ class NormSample:
     tail: float
 
 
-def sample_field(u: Field, b: float, t: float, l2: float,
-                 diss_cum: float) -> NormSample:
+def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
     """The diagnostic record of one field, given its squared L2 norm and
     the dissipation accumulated so far."""
-    geom = u.geometry
-    vals = u.values
-    ux = u.dx().values
-    wx = _x_weights(geom, b)
-    w_l2 = geom.dy * float(np.sum(wx[:, None] * vals**2))
-    w_h1 = w_l2 + geom.dy * float(np.sum(wx[:, None] * ux**2)) \
-        + weighted_dy_sq(u, b)
-    sup_w = float(np.max(np.abs(np.exp(b * geom.x_grid())[:, None] * vals)))
+    geom, vals, ux = u.geometry, u.values, u.dx().values
+    w_l2 = _weighted_quad(geom, vals, vals)
+    w_h1 = w_l2 + _weighted_quad(geom, ux, ux) + weighted_dy_sq(u)
     return NormSample(
         t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
-        sup_w=sup_w, tail=tail_mass(u, b),
+        sup_w=weighted_sup(u), tail=tail_mass(u),
     )
 
 

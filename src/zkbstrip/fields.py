@@ -78,8 +78,10 @@ class _Band:
         self.coeff_scale = math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx)
         self.synthesis = self.grid_scale * self.sines
         self.analysis = self.sines.T * self.coeff_scale
-        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
+        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat; odd x-derivatives of a real
+        # field vanish on the Nyquist slot, which only the full band holds
         self.slot = (-0.5j) * geom.wavenumbers()[:nb]
+        self.slot[geom.Nx // 2:] = 0.0
         for table in (self.sines, self.synthesis, self.analysis, self.slot):
             table.setflags(write=False)  # shared through the cache
 
@@ -173,6 +175,9 @@ class Field:
             raise ValueError(f"coefficient shape {coeffs.shape} != {expected}")
         if not np.all(np.isfinite(coeffs.view(np.float64))):
             raise ValueError("field coefficients contain non-finite entries")
+        if coeffs[0].imag.any() or coeffs[-1].imag.any():
+            raise ValueError("the mean (n = 0) and Nyquist rows of a real "
+                             "field must be real")
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_values", None)
@@ -245,10 +250,11 @@ class Field:
         """Field sampled on the (2*Nx, 2*Ny) refinement of the grid.
 
         Used for alias-free quadrature of quartic quantities.  Returns the
-        sample array and the refined geometry (for quadrature weights).
+        sample array and the refined geometry, unweighted (b = 0), for the
+        quadrature weights.
         """
         geom = self.geometry
-        fine = StripGeometry(geom.B, geom.Lx, 2 * geom.Nx, 2 * geom.Ny, geom.b)
+        fine = StripGeometry(geom.B, geom.Lx, 2 * geom.Nx, 2 * geom.Ny)
         pad = np.concatenate([self.coeffs, np.zeros((geom.Nx // 2, geom.Ny))])
         pad[geom.Nx // 2] /= 2.0  # Nyquist splits into +/- pair
         return to_grid(pad, fine), fine
@@ -343,7 +349,7 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
         field = field * (init.target_l2_norm / current)
 
     norm = float(np.sqrt(field.l2sq()))
-    tail = _tail_mass(field, geom.b)
+    tail = _tail_mass(field)
     if init.kind != "single_mode" and tail > TAIL_REJECT_THRESHOLD:
         raise SupportTooWideError(
             f"support too wide for truncation: initial tail mass {tail:.3e} > "

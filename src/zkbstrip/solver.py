@@ -50,10 +50,10 @@ def linear_symbol(k, lam, convection: int = 0):
 class SolverConfig:
     """Time-integration parameters.
 
-    diss_per_step selects per-step trapezoid accumulation of the
-    dissipation integral (needed by the sharp energy-identity check);
-    the default accumulates over snapshots only.  nonlinear=False forces
-    N(u) == 0, leaving the pure (exactly integrated) linear flow.
+    A sample is recorded every output_every steps and at t_end; the
+    dissipation integral is accumulated by the trapezoid rule at every
+    step, whatever the sampling.  nonlinear=False forces N(u) == 0,
+    leaving the pure (exactly integrated) linear flow.
     """
 
     dt: float
@@ -62,7 +62,6 @@ class SolverConfig:
     convection: int = 0
     output_every: int = 1
     nonlinear: bool = True
-    diss_per_step: bool = False
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -141,6 +140,7 @@ class Stepper:
         sigma = linear_symbol(geom.wavenumbers()[None, : self.band.nb],
                               geom.eigenvalues()[: self.band.nj, None],
                               cfg.convection)
+        sigma[:, geom.Nx // 2:].imag = 0.0  # Nyquist slot, as in _Band.slot
         pw = parseval_tables(geom)
         self.w_l2 = self.band.gather(pw.l2)
         self.w_dx = self.band.gather(pw.dx)
@@ -209,8 +209,7 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
     def record(step_idx: int, l2_now: float) -> bool:
         """Append a sample; True when the observer ends the run."""
         f = Field(geom, st.band.scatter(c))
-        sample = sample_field(f, geom.b, t=step_idx * cfg.dt, l2=l2_now,
-                              diss_cum=diss)
+        sample = sample_field(f, t=step_idx * cfg.dt, l2=l2_now, diss_cum=diss)
         series.samples.append(sample)
         return observer is not None and bool(observer(sample, f))
 
@@ -222,17 +221,10 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
         if not math.isfinite(l2_now) or l2_now > blow_limit:
             series.status = "blow-up"
             raise BlowUpError(n * cfg.dt, l2_now, series)
-
-        if cfg.diss_per_step:
-            f_now = 2.0 * parseval_sum(st.w_dx, c)
-            diss += 0.5 * cfg.dt * (f_prev + f_now)
-            f_prev = f_now
+        f_now = 2.0 * parseval_sum(st.w_dx, c)
+        diss += 0.5 * cfg.dt * (f_prev + f_now)
+        f_prev = f_now
         if n % cfg.output_every == 0 or n == n_steps:
-            if not cfg.diss_per_step:
-                f_now = 2.0 * parseval_sum(st.w_dx, c)
-                dt_snap = (n * cfg.dt) - series.samples[-1].t
-                diss += 0.5 * dt_snap * (f_prev + f_now)
-                f_prev = f_now
             if record(n, l2_now):
                 break
 

@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .diagnostics import _weighted_quad, _x_weights, weighted_dy_sq
+from .diagnostics import _weighted_quad, weighted_dy_sq, weighted_sup
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -96,15 +94,15 @@ def _holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + RELATIVE_SLACK) + 1e-300
 
 
-def verify_steklov(u: "Field", b: float) -> InequalityCheck:
+def verify_steklov(u: "Field") -> InequalityCheck:
     """Weighted Poincare bound (e^{2bx}, u^2) <= (B/pi)^2 (e^{2bx}, u_y^2).
 
     Equality is attained exactly on fields proportional to the first
     sine mode; mode j alone gives lhs = rhs / j**2.
     """
     geom = u.geometry
-    lhs = _weighted_quad(geom, b, u.values, u.values)
-    rhs = (geom.B / math.pi) ** 2 * weighted_dy_sq(u, b)
+    lhs = _weighted_quad(geom, u.values, u.values)
+    rhs = (geom.B / math.pi) ** 2 * weighted_dy_sq(u)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs))
 
 
@@ -115,15 +113,14 @@ def verify_gn(u: "Field") -> InequalityCheck:
     norm is integrated on a 2x-refined grid so the quartic is alias-free
     for band-limited fields.
     """
-    vals, fine = u.values_padded()
-    wx = _x_weights(fine, 0.0)
+    vals, fine = u.values_padded()  # fine carries b = 0: no weighting
     sq = vals * vals  # numpy's vals**4 is a libm pow call per element
-    l4sq = math.sqrt(fine.dy * float(np.sum(wx[:, None] * (sq * sq))))
+    l4sq = math.sqrt(_weighted_quad(fine, sq, sq))
     rhs = 2.0 * math.sqrt(u.l2sq()) * math.sqrt(u.gradsq())
     return InequalityCheck(lhs=l4sq, rhs=rhs, holds=_holds(l4sq, rhs))
 
 
-def verify_sup_lemma(u: "Field", b: float,
+def verify_sup_lemma(u: "Field",
                      pairs: tuple[tuple[float, float], ...]) -> list[InequalityCheck]:
     """Weighted sup bound for fields vanishing at the channel walls:
 
@@ -131,15 +128,16 @@ def verify_sup_lemma(u: "Field", b: float,
                       + (2*delta1/delta)*(e^{2bx},u_x^2)
                       + (1/delta)*(1/delta1 + 2*delta1*b^2)*(e^{2bx},u^2),
 
-    for positive delta, delta1: one check per (delta, delta1) in pairs.
+    for positive delta, delta1: one check per (delta, delta1) in pairs,
+    with the weight rate b of the field's geometry.
     """
     if not all(delta > 0 and delta1 > 0 for delta, delta1 in pairs):
         raise ValueError(f"delta and delta1 must be positive, got {pairs}")
-    geom, vals, ux = u.geometry, u.values, u.dx()
-    sup = float(np.max(np.abs(np.exp(b * geom.x_grid())[:, None] * vals)))
+    geom, ux, b = u.geometry, u.dx(), u.geometry.b
+    sup = weighted_sup(u)
     lhs = sup * sup
-    dy_sq, dxy_sq = weighted_dy_sq(u, b), weighted_dy_sq(ux, b)
-    dx_sq, sq = (_weighted_quad(geom, b, f, f) for f in (ux.values, vals))
+    dy_sq, dxy_sq = weighted_dy_sq(u), weighted_dy_sq(ux)
+    dx_sq, sq = (_weighted_quad(geom, f, f) for f in (ux.values, u.values))
     rhs = [
         delta * (1.0 + 2.0 * b * b) * dy_sq
         + 2.0 * delta * dxy_sq

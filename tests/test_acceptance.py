@@ -58,8 +58,7 @@ def test_criterion_1_constants_exactness():
 
 
 def test_criterion_2_energy_identity(paper_ref):
-    config, series = paper_ref
-    assert config.solver.diss_per_step
+    _, series = paper_ref
     residual = energy_residual(series)
     assert residual < 1e-6
     report(2, f"max relative energy residual {residual:.3e} < 1e-6 "
@@ -120,21 +119,21 @@ def test_criterion_6_steklov_suite():
     profile = np.exp(-((x / 2.5) ** 2))
     w1 = evaluate_mode(1, SWEEP_GEOM.y_grid(), SWEEP_GEOM.B)
     u1 = Field.from_values(SWEEP_GEOM, profile[:, None] * w1[None, :])
-    lhs, rhs, holds = verify_steklov(u1, SWEEP_GEOM.b)
+    lhs, rhs, holds = verify_steklov(u1)
     assert holds and abs(lhs - rhs) <= 1e-10 * rhs
 
     # mode ratio 1/j^2
     for j in range(1, 9):
         wj = evaluate_mode(j, SWEEP_GEOM.y_grid(), SWEEP_GEOM.B)
         uj = Field.from_values(SWEEP_GEOM, profile[:, None] * wj[None, :])
-        res = verify_steklov(uj, SWEEP_GEOM.b)
+        res = verify_steklov(uj)
         assert abs(res.lhs - res.rhs / j**2) <= 1e-10 * res.rhs
 
     # seeded corpus
     worst = math.inf
     for seed in range(100):
         u = make_random_field(SWEEP_GEOM, seed=seed)
-        res = verify_steklov(u, SWEEP_GEOM.b)
+        res = verify_steklov(u)
         assert res.holds
         worst = min(worst, (res.rhs - res.lhs) / res.rhs)
     report(6, f"equality case exact to 1e-10, mode ratios 1/j^2 for j<=8, "
@@ -152,7 +151,7 @@ def test_criterion_7_gn_and_sup_suites():
     worst_sup = math.inf
     for seed in range(100):
         u = make_random_field(SWEEP_GEOM, seed=1000 + seed)
-        (res,) = verify_sup_lemma(u, SWEEP_GEOM.b, ((1.0, 1.0),))
+        (res,) = verify_sup_lemma(u, ((1.0, 1.0),))
         assert res.holds
         worst_sup = min(worst_sup, (res.rhs - res.lhs) / res.rhs)
     report(7, f"interpolation bound worst margin {worst_gn:.3e}; "

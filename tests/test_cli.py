@@ -92,6 +92,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
 
+    def test_diss_per_step_accepted_and_ignored(self):
+        plain = parse_config(json.dumps(base_doc())).solver
+        for flag in (True, False):
+            doc = base_doc(solver={"diss_per_step": flag})
+            assert parse_config(json.dumps(doc)).solver == plain
+        doc = base_doc(solver={"diss_per_step": 1})
+        with pytest.raises(ConfigError,
+                           match="type mismatch at solver.diss_per_step"):
+            parse_config(json.dumps(doc))
+
     def test_scheme_accepts_only_etdrk4(self):
         doc = base_doc(solver={"scheme": "exponential-RK4"})
         named = parse_config(json.dumps(doc))
@@ -359,38 +369,56 @@ def small_run_dir(tmp_path_factory):
     return out
 
 
+def _manifest_edit(edit):
+    """Run-directory damage: rewrite manifest.json through ``edit``."""
+    def damage(out):
+        path = out / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return damage
+
+
 def _without(*keys):
-    """Manifest edit: delete the entry at the path ``keys``."""
+    """Run-directory damage: delete the manifest entry at the path ``keys``."""
     def edit(m):
         node = m
         for key in keys[:-1]:
             node = node[key]
         del node[keys[-1]]
         return m
-    return edit
+    return _manifest_edit(edit)
+
+
+def _append_last_row(out):
+    """Run-directory damage: a series.csv that still parses, but is not
+    the file the manifest's checksum was taken of."""
+    path = out / "series.csv"
+    text = path.read_text()
+    path.write_text(text + text.strip().splitlines()[-1] + "\n")
 
 
 class TestMalformedManifest:
-    """A manifest.json that parses but is not what write_manifest wrote
-    ends fit-decay with ``error: ...`` naming the problem, and exit 1."""
+    """A manifest.json that parses but is not what write_manifest wrote,
+    or a run file that no longer matches its checksum, ends fit-decay
+    with ``error: ...`` naming the problem, and exit 1."""
 
     @pytest.mark.parametrize("damage,message", [
-        (lambda m: ["not", "an", "object"], "does not hold a JSON object"),
+        (_manifest_edit(lambda m: ["not", "an", "object"]),
+         "does not hold a JSON object"),
         (_without("status"), "no 'status' key"),
         (_without("config"), "no 'config' key"),
         (_without("files"), "no 'files' key"),
-        (lambda m: {**m, "files": ["series.csv"]},
+        (_manifest_edit(lambda m: {**m, "files": ["series.csv"]}),
          "'files' is not a JSON object"),
         (_without("files", "series.csv", "sha256"),
          "no 'sha256' key for series.csv"),
+        (_append_last_row, "checksum mismatch for series.csv"),
     ], ids=["not-an-object", "no-status", "no-config", "no-files",
-            "files-not-an-object", "no-sha256"])
+            "files-not-an-object", "no-sha256", "tampered-series"])
     def test_fit_decay_names_the_problem(self, small_run_dir, tmp_path, capsys,
                                          damage, message):
         out = tmp_path / "run"
         shutil.copytree(small_run_dir, out)
-        path = out / "manifest.json"
-        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        damage(out)
         capsys.readouterr()
         assert main(["fit-decay", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -590,7 +618,7 @@ def reference_cdep(config, eps):
     out = {"clean_until": clean_end}
     for key, e in (("eps", eps), ("half_eps", eps / 2.0)):
         _, pert_fields = fields_of(base0 + e * bump)
-        norms = [weighted_inner(geom.b, fp - fb, fp - fb)
+        norms = [weighted_inner(fp - fb, fp - fb)
                  for fp, fb, s in zip(pert_fields, base_fields, base.samples)
                  if s.t <= clean_end]
         out[f"growth_factor_{key}"] = max(norms) / norms[0]
@@ -660,9 +688,15 @@ class TestCdepCommand:
             assert payload["stable"] is (code == 0)
             assert (abs(payload["final_ratio"] - 1.0) <= 0.10) is (code == 0)
 
-    def test_zero_eps_degenerate(self, capsys):
+    def test_zero_eps_degenerate(self, tmp_path, capsys):
         assert main(["cdep", "--config", "paper-ref", "--eps", "0"]) == 0
         assert "identical" in capsys.readouterr().out
+        out = tmp_path / "cdep"
+        assert main(["cdep", "--config", "paper-ref", "--eps", "0",
+                     "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == {"eps": 0.0, "note": "identical runs"}
+        assert json.loads((out / "cdep.json").read_text()) == printed
 
     def test_zero_eps_still_loads_config(self, tmp_path, capsys):
         missing = str(tmp_path / "nonexistent.json")

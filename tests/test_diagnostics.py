@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,49 +42,50 @@ def synthetic_series(times, values, geom=None):
 
 class TestWeightedInner:
     def test_unweighted_is_l2(self, small_geom):
-        u = make_random_field(small_geom, seed=0)
-        assert weighted_inner(0.0, u, u) == pytest.approx(u.l2sq(), rel=1e-12)
+        u = make_random_field(replace(small_geom, b=0.0), seed=0)
+        assert weighted_inner(u, u) == pytest.approx(u.l2sq(), rel=1e-12)
 
     def test_zero_field(self, small_geom):
-        z = Field.zeros(small_geom)
-        u = make_random_field(small_geom, seed=1)
-        assert weighted_inner(0.3, z, u) == 0.0
+        geom = replace(small_geom, b=0.3)
+        z = Field.zeros(geom)
+        u = make_random_field(geom, seed=1)
+        assert weighted_inner(z, u) == 0.0
 
     def test_gaussian_closed_form(self):
         # int exp(0.2x - 2x^2) dx = sqrt(pi/2) exp(0.005)
         g = StripGeometry(B=np.pi, Lx=12.0, Nx=512, Ny=16, b=0.1)
         u = gaussian_mode_field(g)
         expected = math.sqrt(math.pi / 2.0) * math.exp(0.005)
-        assert weighted_inner(0.1, u, u) == pytest.approx(expected, rel=1e-12)
+        assert weighted_inner(u, u) == pytest.approx(expected, rel=1e-12)
 
     def test_symmetric_bilinear_positive(self, small_geom):
-        u = make_random_field(small_geom, seed=2)
-        v = make_random_field(small_geom, seed=3)
-        w = make_random_field(small_geom, seed=4)
-        b = 0.2
-        assert weighted_inner(b, u, v) == pytest.approx(
-            weighted_inner(b, v, u), rel=1e-13
+        geom = replace(small_geom, b=0.2)
+        u = make_random_field(geom, seed=2)
+        v = make_random_field(geom, seed=3)
+        w = make_random_field(geom, seed=4)
+        assert weighted_inner(u, v) == pytest.approx(
+            weighted_inner(v, u), rel=1e-13
         )
-        lhs = weighted_inner(b, u + 2.0 * v, w)
-        rhs = weighted_inner(b, u, w) + 2.0 * weighted_inner(b, v, w)
+        lhs = weighted_inner(u + 2.0 * v, w)
+        rhs = weighted_inner(u, w) + 2.0 * weighted_inner(v, w)
         assert lhs == pytest.approx(rhs, rel=1e-11)
-        assert weighted_inner(b, u, u) > 0.0
+        assert weighted_inner(u, u) > 0.0
 
     def test_grid_mismatch(self, small_geom):
         other = StripGeometry(B=small_geom.B, Lx=small_geom.Lx,
                               Nx=small_geom.Nx * 2, Ny=small_geom.Ny)
         with pytest.raises(ValueError):
-            weighted_inner(0.0, Field.zeros(small_geom), Field.zeros(other))
+            weighted_inner(Field.zeros(small_geom), Field.zeros(other))
 
 
 class TestTailMass:
     def test_central_support(self):
         g = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=8, b=0.1)
         u = gaussian_mode_field(g, s=1.0)
-        assert tail_mass(u, 0.1) < 1e-30
+        assert tail_mass(u) < 1e-30
 
     def test_zero_field_convention(self, small_geom):
-        assert tail_mass(Field.zeros(small_geom), 0.1) == 0.0
+        assert tail_mass(Field.zeros(small_geom)) == 0.0
 
     def test_uniform_field_matches_weight_measure(self):
         # constant-in-x field: fraction = band weight / total weight
@@ -96,7 +98,7 @@ class TestTailMass:
             return (math.exp(2 * b * hi) - math.exp(2 * b * lo)) / (2 * b)
 
         expected = (Iexp(-L, -0.8 * L) + Iexp(0.8 * L, L)) / Iexp(-L, L)
-        assert tail_mass(u, b) == pytest.approx(expected, rel=2e-3)
+        assert tail_mass(u) == pytest.approx(expected, rel=2e-3)
 
 
 class TestEnergyResidual:
@@ -115,7 +117,7 @@ class TestEnergyResidual:
             InitialData(kind="single_mode", amplitude=1.0, k=1.0, j=1), g
         )
         cfg = SolverConfig(dt=1e-3, t_end=1.0, nonlinear=False,
-                           output_every=100, diss_per_step=True)
+                           output_every=100)
         assert energy_residual(run(f0, cfg)) < 1e-6
 
 
@@ -138,9 +140,8 @@ class TestWeightedDySq:
         def oracle(f):
             return np.trapezoid(np.trapezoid(weight * f**2, y, axis=1), x)
 
-        assert weighted_dy_sq(u, b) == pytest.approx(oracle(Uy), rel=1e-8)
-        assert weighted_dy_sq(u.dx(), b) == pytest.approx(oracle(Uxy),
-                                                          rel=1e-8)
+        assert weighted_dy_sq(u) == pytest.approx(oracle(Uy), rel=1e-8)
+        assert weighted_dy_sq(u.dx()) == pytest.approx(oracle(Uxy), rel=1e-8)
 
 
 class TestFitDecayRate:

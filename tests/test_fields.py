@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,28 @@ class TestFieldBasics:
         assert np.max(np.abs(vals.real - u.values)) < 1e-12
 
 
+class TestRealRows:
+    def test_imaginary_mean_or_nyquist_row_rejected(self):
+        # the grid view would drop these parts while l2sq counts them
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=16, Ny=4)
+        c = np.zeros((9, 4), complex)
+        c[8, 0] = c[0, 1] = 1j
+        with pytest.raises(ValueError, match="must be real"):
+            Field(g, c)
+        for row in (0, 8):
+            one = np.zeros((9, 4), complex)
+            one[row, 2] = 1j
+            with pytest.raises(ValueError, match="must be real"):
+                Field(g, one)
+
+    def test_real_mean_and_nyquist_rows_accepted(self):
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=16, Ny=4)
+        c = np.zeros((9, 4), complex)
+        c[8, 0] = c[0, 1] = 1.0
+        u = Field(g, c)
+        assert u.l2sq() > 0.0 and np.any(u.values != 0.0)
+
+
 class TestDerivatives:
     def test_dx_on_single_wave(self):
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=64, Ny=8)
@@ -71,11 +95,11 @@ class TestDerivatives:
         assert np.max(np.abs(f.dx().values - expected)) < 1e-12
 
     def test_parseval_norms(self, small_geom):
-        u = make_random_field(small_geom, seed=9)
-        assert u.l2sq() == pytest.approx(weighted_inner(0.0, u, u), rel=1e-12)
+        u = make_random_field(replace(small_geom, b=0.0), seed=9)
+        assert u.l2sq() == pytest.approx(weighted_inner(u, u), rel=1e-12)
         from zkbstrip.diagnostics import weighted_dy_sq
 
-        grad_quad = weighted_inner(0.0, u.dx(), u.dx()) + weighted_dy_sq(u, 0.0)
+        grad_quad = weighted_inner(u.dx(), u.dx()) + weighted_dy_sq(u)
         assert u.gradsq() == pytest.approx(grad_quad, rel=1e-11)
 
 

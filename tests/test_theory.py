@@ -102,20 +102,20 @@ def single_mode_field(j, geom=VERIF_GEOM, profile=None):
 class TestSteklov:
     def test_equality_on_first_mode(self):
         u = single_mode_field(1)
-        lhs, rhs, holds = verify_steklov(u, 0.1)
+        lhs, rhs, holds = verify_steklov(u)
         assert holds
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_mode_ratio(self):
         for j in range(1, 9):
-            lhs, rhs, holds = verify_steklov(single_mode_field(j), 0.1)
+            lhs, rhs, holds = verify_steklov(single_mode_field(j))
             assert holds
             assert lhs == pytest.approx(rhs / j**2, rel=1e-10)
 
     def test_random_sweep(self):
         for seed in range(20):
             u = make_random_field(VERIF_GEOM, seed=seed)
-            assert verify_steklov(u, VERIF_GEOM.b).holds
+            assert verify_steklov(u).holds
 
 
 class TestGagliardoNirenberg:
@@ -171,7 +171,7 @@ class TestSupLemma:
     PAIRS = ((0.1, 1.0), (1.0, 0.5), (10.0, 2.0), (0.3, 7.0))
 
     def test_zero_field(self):
-        (res,) = verify_sup_lemma(Field.zeros(VERIF_GEOM), 0.1, ((1.0, 1.0),))
+        (res,) = verify_sup_lemma(Field.zeros(VERIF_GEOM), ((1.0, 1.0),))
         assert res.lhs == 0.0 and res.holds
 
     def test_gaussian_example(self):
@@ -179,7 +179,7 @@ class TestSupLemma:
             InitialData(kind="gaussian_mode", amplitude=1.0, s=1.0, j=1),
             VERIF_GEOM,
         )
-        (res,) = verify_sup_lemma(fld, 0.1, ((1.0, 1.0),))
+        (res,) = verify_sup_lemma(fld, ((1.0, 1.0),))
         assert res.holds
         assert res.lhs > 0.0 and res.rhs > res.lhs
 
@@ -187,16 +187,16 @@ class TestSupLemma:
         pairs = ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))
         for seed in range(20):
             u = make_random_field(VERIF_GEOM, seed=seed)
-            checks = verify_sup_lemma(u, VERIF_GEOM.b, pairs)
+            checks = verify_sup_lemma(u, pairs)
             assert len(checks) == 3
             assert all(c.holds for c in checks)
 
     def test_invalid_parameters(self):
         u = Field.zeros(VERIF_GEOM)
         with pytest.raises(ValueError):
-            verify_sup_lemma(u, 0.1, ((0.0, 1.0),))
+            verify_sup_lemma(u, ((0.0, 1.0),))
         with pytest.raises(ValueError):
-            verify_sup_lemma(u, 0.1, ((1.0, -2.0),))
+            verify_sup_lemma(u, ((1.0, -2.0),))
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
@@ -214,7 +214,7 @@ class TestSupLemma:
         pairs[position] = bad
         u = make_random_field(VERIF_GEOM, seed=0)
         with pytest.raises(ValueError, match="must be positive"):
-            verify_sup_lemma(u, VERIF_GEOM.b, tuple(pairs))
+            verify_sup_lemma(u, tuple(pairs))
 
     def test_shared_integrals_match_per_pair_evaluation(self):
         b = VERIF_GEOM.b
@@ -223,16 +223,16 @@ class TestSupLemma:
             ux = u.dx()
             weight = np.exp(b * VERIF_GEOM.x_grid())[:, None]
             sup = float(np.max(np.abs(weight * u.values)))
-            checks = verify_sup_lemma(u, b, self.PAIRS)
+            checks = verify_sup_lemma(u, self.PAIRS)
             assert len(checks) == len(self.PAIRS)
             for (delta, delta1), check in zip(self.PAIRS, checks):
                 # the lemma's rhs, evaluated afresh for this pair alone
                 rhs = (
-                    delta * (1.0 + 2.0 * b * b) * weighted_dy_sq(u, b)
-                    + 2.0 * delta * weighted_dy_sq(ux, b)
-                    + (2.0 * delta1 / delta) * weighted_inner(b, ux, ux)
+                    delta * (1.0 + 2.0 * b * b) * weighted_dy_sq(u)
+                    + 2.0 * delta * weighted_dy_sq(ux)
+                    + (2.0 * delta1 / delta) * weighted_inner(ux, ux)
                     + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b)
-                    * weighted_inner(b, u, u)
+                    * weighted_inner(u, u)
                 )
                 assert check.lhs == sup * sup
                 assert check.rhs == rhs
@@ -244,7 +244,7 @@ class TestHypothesisProperties:
     @settings(max_examples=25, deadline=None)
     def test_steklov_holds_for_any_seed(self, seed):
         u = make_random_field(VERIF_GEOM, seed=seed)
-        assert verify_steklov(u, VERIF_GEOM.b).holds
+        assert verify_steklov(u).holds
 
     @given(
         width=st.floats(min_value=0.05, max_value=100.0,
