@@ -3,10 +3,13 @@
 Every weighted pairing integrates exp(2*b*x)*f*g over the strip, with
 the weight rate b of the field's geometry.  x uses the uniform
 trapezoid rule on [-Lx, Lx] (the periodic grid value at -Lx serves both
-endpoints); y uses the interior rectangle rule matched to the sine
-basis, which is exact for sine-content integrands, while y-derivative
-(cosine-content) energies are summed in mode space where their
-orthogonality is exact.
+endpoints).  y is summed in mode space, from the amplitudes a_j(x) of
+the orthonormal sine modes on the x grid: the sine modes are discretely
+orthogonal on the interior y grid, so sum_j a^f_j a^g_j equals the
+interior rectangle rule dy * sum_m f(x, y_m) g(x, y_m) exactly, and
+sum_j lambda_j a^f_j a^g_j is the exact integral of f_y g_y (a cosine
+series, which the rectangle rule would not integrate exactly).  No
+pairing builds grid values; only the weighted sup does.
 """
 
 from __future__ import annotations
@@ -36,35 +39,58 @@ def _x_weights(geom: StripGeometry) -> np.ndarray:
     return w
 
 
-def _weighted_quad(geom: StripGeometry, fvals: np.ndarray,
-                   gvals: np.ndarray) -> float:
-    return geom.dy * float(np.sum(_x_weights(geom)[:, None] * fvals * gvals))
+@lru_cache(maxsize=32)
+def _sup_weights(geom: StripGeometry) -> np.ndarray:
+    """Read-only weight exp(bx) of the weighted sup on the x grid,
+    computed once per geometry."""
+    w = np.exp(geom.b * geom.x_grid())
+    w.setflags(write=False)  # shared through the cache
+    return w
+
+
+def _modes(u: Field) -> np.ndarray:
+    """(Nx, J) amplitudes a_j(x) of u's leading non-zero y modes."""
+    return _band(u.geometry, False).x_modes(u.coeffs)
+
+
+def _weighted_density(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,
+                      dy: bool = False) -> np.ndarray:
+    """Per-x-node share of the weighted pairing of two fields, from their
+    mode amplitudes (:func:`_modes`): the x weight times
+    sum_j a^f_j a^g_j, which sums to (exp(2bx) f, g), or with dy times
+    sum_j lambda_j a^f_j a^g_j, which sums to (exp(2bx), f_y g_y).
+    Modes past the shorter of the two amplitude arrays are zero in one
+    factor and drop out.
+    """
+    nj = min(fa.shape[1], ga.shape[1])
+    prod = fa[:, :nj] * ga[:, :nj]
+    y_sum = prod @ geom.eigenvalues()[:nj] if dy else np.sum(prod, axis=1)
+    return _x_weights(geom) * y_sum
+
+
+def _weighted_pairing(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,
+                      dy: bool = False) -> float:
+    """The sum of :func:`_weighted_density` over x."""
+    return float(np.sum(_weighted_density(geom, fa, ga, dy)))
 
 
 def weighted_inner(f: Field, g: Field) -> float:
     """Weighted pairing (exp(2bx) f, g) over the strip."""
     if f.geometry != g.geometry:
         raise ValueError("fields live on different grids")
-    return _weighted_quad(f.geometry, f.values, g.values)
+    fa = _modes(f)
+    return _weighted_pairing(f.geometry, fa, fa if g is f else _modes(g))
 
 
 def weighted_dy_sq(u: Field) -> float:
-    """(exp(2bx), u_y^2), with the y-integral done in mode space.
-
-    u_y is a cosine series, which the interior rectangle rule does not
-    integrate exactly (cosines carry mass at the walls); the per-mode
-    identity int u_y^2 dy = sum_j lambda_j a_j(x)^2 is exact instead.
-    """
-    geom = u.geometry
-    modal_x = _band(geom, False).x_modes(u.coeffs)
-    lam = geom.eigenvalues()
-    return float(np.sum(_x_weights(geom)[:, None] * lam[None, :] * modal_x**2))
+    """(exp(2bx), u_y^2)."""
+    a = _modes(u)
+    return _weighted_pairing(u.geometry, a, a, dy=True)
 
 
 def weighted_sup(u: Field) -> float:
     """Grid maximum of |exp(bx) u|."""
-    weight = np.exp(u.geometry.b * u.geometry.x_grid())
-    return float(np.max(np.abs(weight[:, None] * u.values)))
+    return float(np.max(np.abs(_sup_weights(u.geometry)[:, None] * u.values)))
 
 
 def tail_mass(u: Field) -> float:
@@ -73,8 +99,8 @@ def tail_mass(u: Field) -> float:
     The endpoint row at -Lx stands for both periodic endpoints, so its
     whole weight lies in the bands.  Returns 0 for a zero field.
     """
-    geom = u.geometry
-    density = _x_weights(geom) * np.sum(u.values**2, axis=1)
+    geom, a = u.geometry, _modes(u)
+    density = _weighted_density(geom, a, a)
     total = float(np.sum(density))
     if total == 0.0:
         return 0.0
@@ -106,9 +132,10 @@ class NormSample:
 def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
     """The diagnostic record of one field, given its squared L2 norm and
     the dissipation accumulated so far."""
-    geom, vals, ux = u.geometry, u.values, u.dx().values
-    w_l2 = _weighted_quad(geom, vals, vals)
-    w_h1 = w_l2 + _weighted_quad(geom, ux, ux) + weighted_dy_sq(u)
+    geom, a, ax = u.geometry, _modes(u), _modes(u.dx())
+    w_l2 = _weighted_pairing(geom, a, a)
+    w_h1 = (w_l2 + _weighted_pairing(geom, ax, ax)
+            + _weighted_pairing(geom, a, a, dy=True))
     return NormSample(
         t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
         sup_w=weighted_sup(u), tail=tail_mass(u),

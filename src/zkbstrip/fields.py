@@ -98,9 +98,10 @@ class _Band:
         return full
 
     def x_modes(self, full: np.ndarray) -> np.ndarray:
-        """Full-layout coefficients -> (Nx, Ny) amplitudes a_j(x) of the
-        orthonormal y modes on the x grid."""
-        return irfft(full, n=self.geom.Nx, axis=0) * self.geom.Nx
+        """Full-layout coefficients -> (Nx, J) amplitudes a_j(x) on the x
+        grid of the leading J orthonormal y modes, up to the last mode
+        that holds a non-zero coefficient."""
+        return irfft(_leading_modes(full), n=self.geom.Nx, axis=0) * self.geom.Nx
 
     def rhs(self, a: np.ndarray) -> np.ndarray:
         """-(u u_x)^hat on the band, from the band coefficients of u."""
@@ -119,9 +120,21 @@ def to_spectral(values: np.ndarray, geom: StripGeometry) -> np.ndarray:
     return rfft((values @ band.sines) * band.coeff_scale, axis=0)
 
 
+def _leading_modes(coeffs: np.ndarray) -> np.ndarray:
+    """The columns (y modes) of coeffs up to the last one that holds a
+    non-zero coefficient; none for a zero array."""
+    live = np.flatnonzero(coeffs.any(axis=0))
+    return coeffs[:, : live[-1] + 1 if live.size else 0]
+
+
 def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
-    """Coefficients (Nx//2+1, J) of the first J <= Ny y modes -> grid (Nx, Ny)."""
+    """Coefficients (Nx//2+1, J) of the first J <= Ny y modes -> grid (Nx, Ny).
+
+    Trailing all-zero modes are skipped: the transform is bit-identical
+    to the one over them.
+    """
     band = _band(geom, False)
+    coeffs = _leading_modes(coeffs)
     sines = band.sines[:, : coeffs.shape[1]]
     return (irfft(coeffs, n=geom.Nx, axis=0) @ sines.T) * band.grid_scale
 
@@ -157,6 +170,16 @@ def parseval_sum(weights: np.ndarray, coeffs: np.ndarray) -> float:
     """Squared norm sum(weights * |coeffs|**2), weights from
     :func:`parseval_tables`."""
     return float(np.sum(weights * (coeffs.real**2 + coeffs.imag**2)))
+
+
+@lru_cache(maxsize=32)
+def _dx_multiplier(geom: StripGeometry) -> np.ndarray:
+    """Read-only (Nx//2+1, 1) column i*k_n of the spectral x-derivative,
+    zero on the Nyquist slot, computed once per geometry."""
+    mult = (1j * geom.wavenumbers())[:, None]
+    mult[-1] = 0.0
+    mult.setflags(write=False)  # shared through the cache
+    return mult
 
 
 class Field:
@@ -213,9 +236,7 @@ class Field:
     def dx(self) -> "Field":
         """Spectral x-derivative; the Nyquist slot is zeroed (it has no
         consistent real representative)."""
-        mult = 1j * self.geometry.wavenumbers()
-        mult[-1] = 0.0
-        return Field(self.geometry, self.coeffs * mult[:, None])
+        return Field(self.geometry, self.coeffs * _dx_multiplier(self.geometry))
 
     # -- norms -----------------------------------------------------------
 
@@ -375,5 +396,5 @@ def make_random_field(geom: StripGeometry, seed: int) -> Field:
     )
     block[0, :] = block[0, :].real  # mean mode of a real field is real
     coeffs[: nx_max + 1, :j_max] = block
-    f = Field(geom, coeffs)
-    return f * (1.0 / np.sqrt(f.l2sq()))
+    l2 = parseval_sum(parseval_tables(geom).l2, coeffs)
+    return Field(geom, coeffs * float(1.0 / np.sqrt(l2)))

@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .diagnostics import _weighted_quad, weighted_dy_sq, weighted_sup
+import numpy as np
+
+from .diagnostics import _modes, _weighted_pairing, weighted_sup
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -100,9 +102,9 @@ def verify_steklov(u: "Field") -> InequalityCheck:
     Equality is attained exactly on fields proportional to the first
     sine mode; mode j alone gives lhs = rhs / j**2.
     """
-    geom = u.geometry
-    lhs = _weighted_quad(geom, u.values, u.values)
-    rhs = (geom.B / math.pi) ** 2 * weighted_dy_sq(u)
+    geom, a = u.geometry, _modes(u)
+    lhs = _weighted_pairing(geom, a, a)
+    rhs = (geom.B / math.pi) ** 2 * _weighted_pairing(geom, a, a, dy=True)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs))
 
 
@@ -113,9 +115,10 @@ def verify_gn(u: "Field") -> InequalityCheck:
     norm is integrated on a 2x-refined grid so the quartic is alias-free
     for band-limited fields.
     """
-    vals, fine = u.values_padded()  # fine carries b = 0: no weighting
+    vals, fine = u.values_padded()
     sq = vals * vals  # numpy's vals**4 is a libm pow call per element
-    l4sq = math.sqrt(_weighted_quad(fine, sq, sq))
+    # the one grid sum of the package: unweighted, on the refined grid
+    l4sq = math.sqrt(fine.dy * float(np.sum(fine.dx * sq * sq)))
     rhs = 2.0 * math.sqrt(u.l2sq()) * math.sqrt(u.gradsq())
     return InequalityCheck(lhs=l4sq, rhs=rhs, holds=_holds(l4sq, rhs))
 
@@ -133,11 +136,12 @@ def verify_sup_lemma(u: "Field",
     """
     if not all(delta > 0 and delta1 > 0 for delta, delta1 in pairs):
         raise ValueError(f"delta and delta1 must be positive, got {pairs}")
-    geom, ux, b = u.geometry, u.dx(), u.geometry.b
+    geom, b = u.geometry, u.geometry.b
     sup = weighted_sup(u)
     lhs = sup * sup
-    dy_sq, dxy_sq = weighted_dy_sq(u), weighted_dy_sq(ux)
-    dx_sq, sq = (_weighted_quad(geom, f, f) for f in (ux.values, u.values))
+    a, ax = _modes(u), _modes(u.dx())
+    dy_sq, dxy_sq = (_weighted_pairing(geom, f, f, dy=True) for f in (a, ax))
+    dx_sq, sq = (_weighted_pairing(geom, f, f) for f in (ax, a))
     rhs = [
         delta * (1.0 + 2.0 * b * b) * dy_sq
         + 2.0 * delta * dxy_sq

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.fft import irfft
 
 from zkbstrip import (
     Field,
@@ -21,7 +22,8 @@ from zkbstrip import (
     tail_mass,
     weighted_inner,
 )
-from zkbstrip.diagnostics import weighted_dy_sq
+from zkbstrip.diagnostics import weighted_dy_sq, weighted_sup
+from zkbstrip.fields import _band, _sine_matrix, to_grid
 
 
 def gaussian_mode_field(geom, amplitude=1.0, s=1.0, j=1):
@@ -142,6 +144,93 @@ class TestWeightedDySq:
 
         assert weighted_dy_sq(u) == pytest.approx(oracle(Uy), rel=1e-8)
         assert weighted_dy_sq(u.dx()) == pytest.approx(oracle(Uxy), rel=1e-8)
+
+
+def _coeffs_with_modes(geom, n_live, seed):
+    """Full-layout coefficients of a real field whose first n_live y
+    modes are random and whose trailing modes are zero."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((geom.Nx // 2 + 1, geom.Ny), complex)
+    c[:, :n_live] = (rng.standard_normal((geom.Nx // 2 + 1, n_live))
+                     + 1j * rng.standard_normal((geom.Nx // 2 + 1, n_live)))
+    c[0].imag = c[-1].imag = 0.0
+    return c
+
+
+def _untrimmed_x_modes(c, geom):
+    """Amplitudes a_j(x) of all Ny modes, trailing zero modes included."""
+    return irfft(c, n=geom.Nx, axis=0) * geom.Nx
+
+
+def _reference_x_weights(geom):
+    """Trapezoid weights of exp(2bx) on the periodic x grid."""
+    w = geom.dx * np.exp(2.0 * geom.b * geom.x_grid())
+    w[0] = geom.dx * math.cosh(2.0 * geom.b * geom.Lx)
+    return w
+
+
+def _grid_quad(geom, fvals, gvals):
+    """Trapezoid rule in x and interior rectangle rule in y on the grid."""
+    w = _reference_x_weights(geom)
+    return geom.dy * float(np.sum(w[:, None] * fvals * gvals))
+
+
+class TestModeSpacePairing:
+    """Weighted pairings summed over y modes instead of y grid points."""
+
+    GEOM = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.15)
+
+    @pytest.mark.parametrize("n_f,n_g", [(32, 32), (10, 10), (5, 12), (1, 32)])
+    def test_matches_grid_rectangle_rule(self, n_f, n_g):
+        g = self.GEOM
+        f = Field(g, _coeffs_with_modes(g, n_f, seed=n_f))
+        h = Field(g, _coeffs_with_modes(g, n_g, seed=100 + n_g))
+        for a, c in ((f, f), (f, h), (h, f), (h, h)):
+            expected = _grid_quad(g, a.values, c.values)
+            assert weighted_inner(a, c) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("n_live", [32, 10, 1])
+    def test_dy_form_matches_all_mode_sum(self, n_live):
+        g = self.GEOM
+        u = Field(g, _coeffs_with_modes(g, n_live, seed=n_live))
+        w = _reference_x_weights(g)
+        for v in (u, u.dx()):
+            modal = _untrimmed_x_modes(v.coeffs, g)
+            expected = float(np.sum(w[:, None] * g.eigenvalues()[None, :]
+                                    * modal**2))
+            assert weighted_dy_sq(v) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("n_live", [32, 10, 1, 0])
+    def test_trimmed_transforms_bit_identical(self, n_live):
+        g = self.GEOM
+        c = _coeffs_with_modes(g, n_live, seed=7)
+        if n_live > 2:
+            c[:, 1] = 0.0  # an inner zero mode is kept, only trailing ones go
+        full = _untrimmed_x_modes(c, g)
+        modes = _band(g, False).x_modes(c)
+        assert modes.shape == (g.Nx, n_live)
+        assert np.array_equal(modes, full[:, :n_live])
+        assert np.all(full[:, n_live:] == 0.0)
+        grid = (irfft(c, n=g.Nx, axis=0) @ _sine_matrix(g.Ny).T) * (
+            g.Nx * math.sqrt(2.0 / g.B))
+        assert np.array_equal(to_grid(c, g), grid)
+        assert np.array_equal(Field(g, c).values, grid)
+
+    def test_zero_field(self):
+        z = Field.zeros(self.GEOM)
+        assert z.values.shape == (self.GEOM.Nx, self.GEOM.Ny)
+        assert np.all(z.values == 0.0)
+        assert tail_mass(z) == 0.0
+        assert weighted_dy_sq(z) == 0.0
+
+    def test_cached_weights_bit_identical(self):
+        g = self.GEOM
+        u = make_random_field(g, seed=3)
+        fresh = np.exp(g.b * g.x_grid())[:, None]
+        assert weighted_sup(u) == float(np.max(np.abs(fresh * u.values)))
+        mult = 1j * g.wavenumbers()
+        mult[-1] = 0.0
+        assert np.array_equal(u.dx().coeffs, u.coeffs * mult[:, None])
 
 
 class TestFitDecayRate:

@@ -189,6 +189,21 @@ class TestRandomField:
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert not np.array_equal(u1.coeffs, u3.coeffs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 1000, 2000, 3000])
+    def test_bit_identical_to_scaled_field(self, seed):
+        # the same draw, normalised through a second Field
+        geom = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
+        nx_max, j_max = geom.Nx // 6, geom.Ny // 3
+        rng = np.random.default_rng(seed)
+        c = np.zeros((geom.Nx // 2 + 1, geom.Ny), dtype=complex)
+        shape = (nx_max + 1, j_max)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block[0, :] = block[0, :].real
+        c[: nx_max + 1, :j_max] = block
+        f = Field(geom, c)
+        expected = f * (1.0 / np.sqrt(f.l2sq()))
+        assert np.array_equal(make_random_field(geom, seed).coeffs, expected.coeffs)
+
     def test_band_limits(self, small_geom):
         # the block n <= Nx//6, j <= Ny//3: 21 x 5 on a 128 x 16 grid
         u = make_random_field(small_geom, seed=4)

@@ -15,7 +15,11 @@ from zkbstrip import (
     run,
     weighted_inner,
 )
-from zkbstrip.solver import _phi123, check_dispersion_sanity
+from zkbstrip.solver import (
+    DISPERSION_SANITY_LIMIT,
+    _phi123,
+    check_dispersion_sanity,
+)
 
 from conftest import (
     coupling_coefficient,
@@ -105,6 +109,22 @@ class TestConfigValidation:
     def test_guard_accepts_reference_resolution(self):
         g = StripGeometry(B=np.pi, Lx=30.0, Nx=1024, Ny=32, b=0.1)
         check_dispersion_sanity(g, SolverConfig(dt=1e-3, t_end=40.0))
+
+    def test_guard_skips_undealiased_nyquist_slot(self):
+        # the stepper does not rotate the Nyquist slot, so the largest
+        # rotation at dt = 0.013 is 44.1 (k = 15), not 53.5 (k = 16)
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=32, Ny=4)
+        k = g.wavenumbers()[: g.Nx // 2]
+        stiff = np.max(np.abs(linear_symbol(k, g.eigenvalues()[0]).imag))
+        assert 0.013 * stiff == pytest.approx(44.07, abs=0.01)
+        cfg = SolverConfig(dt=0.013, t_end=0.013, dealias=False)
+        check_dispersion_sanity(g, cfg)
+        assert len(run(make_random_field(g, seed=0), cfg).samples) == 2
+        limit = DISPERSION_SANITY_LIMIT / stiff
+        for dt in (limit * 1.001, 0.015):
+            with pytest.raises(ValueError, match="Im sigma"):
+                check_dispersion_sanity(
+                    g, SolverConfig(dt=dt, t_end=dt, dealias=False))
 
 
 class TestLinearExactness:

@@ -208,8 +208,8 @@ class TestSupLemma:
         def no_work(*args):
             raise AssertionError("integral computed before validation")
 
-        monkeypatch.setattr(theory, "weighted_dy_sq", no_work)
-        monkeypatch.setattr(theory, "_weighted_quad", no_work)
+        monkeypatch.setattr(theory, "_modes", no_work)
+        monkeypatch.setattr(theory, "_weighted_pairing", no_work)
         pairs = [(0.1, 1.0), (1.0, 1.0), (10.0, 1.0)]
         pairs[position] = bad
         u = make_random_field(VERIF_GEOM, seed=0)
