@@ -10,6 +10,10 @@ modes.  Real-valuedness and the Dirichlet trace are enforced by the
 representation itself.  The one transform between coefficients and grid
 samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
 serves both the views of a Field and the stepper's dealiased product.
+The x FFTs are numpy's, which zero-pad inside the transform and write
+into given arrays.  The dealiased product reuses scratch arrays held
+by its band, which is shared through a cache: that is safe from one
+call to the next, but not across threads.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from numpy.fft import irfft, rfft
 
 from .geometry import StripGeometry, evaluate_mode
 
@@ -61,7 +65,10 @@ class _Band:
     product and an x rfft of the nj rows.  Nx and the normalisation of
     the orthonormal modes make up one scale factor each way; the
     stepper's synthesis and analysis matrices carry them, and the
-    derivative of the product sits in one per-slot factor.  The full
+    derivative of the product sits in one per-slot factor.  The product
+    writes its x samples, grid values and spectrum into scratch arrays
+    made on its first call, so a band that only serves the transforms
+    below never holds them.  The full
     band (``dealias=False``) also serves :func:`to_grid` and
     :func:`to_spectral`, which scale after the sine product, as a plain
     type-I DST does: a scale folded into the matrix rounds the sampled
@@ -84,6 +91,7 @@ class _Band:
         self.slot[geom.Nx // 2:] = 0.0
         for table in (self.sines, self.synthesis, self.analysis, self.slot):
             table.setflags(write=False)  # shared through the cache
+        self._scratch = None
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Full-layout (Nx//2+1, Ny) coefficients, or a Parseval table,
@@ -104,9 +112,20 @@ class _Band:
         return irfft(_leading_modes(full), n=self.geom.Nx, axis=0) * self.geom.Nx
 
     def rhs(self, a: np.ndarray) -> np.ndarray:
-        """-(u u_x)^hat on the band, from the band coefficients of u."""
-        u = self.synthesis @ irfft(a, n=self.geom.Nx, axis=1)
-        return rfft(self.analysis @ (u * u), axis=1)[:, : self.nb] * self.slot
+        """-(u u_x)^hat on the band, from the band coefficients of u, as
+        a new array."""
+        g = self.geom
+        if self._scratch is None:
+            self._scratch = (np.empty((self.nj, g.Nx)),  # x samples, each way
+                             np.empty((g.Ny, g.Nx)),  # u, then u^2
+                             np.empty((self.nj, g.Nx // 2 + 1), dtype=complex))
+        xs, u, spec = self._scratch
+        irfft(a, n=g.Nx, axis=1, out=xs)
+        np.matmul(self.synthesis, xs, out=u)
+        np.multiply(u, u, out=u)
+        np.matmul(self.analysis, u, out=xs)
+        rfft(xs, axis=1, out=spec)
+        return spec[:, : self.nb] * self.slot
 
 
 @lru_cache(maxsize=32)
@@ -166,10 +185,11 @@ def parseval_tables(geom: StripGeometry) -> ParsevalTables:
     return tables
 
 
-def parseval_sum(weights: np.ndarray, coeffs: np.ndarray) -> float:
-    """Squared norm sum(weights * |coeffs|**2), weights from
-    :func:`parseval_tables`."""
-    return float(np.sum(weights * (coeffs.real**2 + coeffs.imag**2)))
+def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]:
+    """Squared norms sum(w * |coeffs|**2), one per weight table w from
+    :func:`parseval_tables`, all from one |coeffs|**2."""
+    power = coeffs.real**2 + coeffs.imag**2
+    return tuple(float(np.sum(w * power)) for w in weights)
 
 
 @lru_cache(maxsize=32)
@@ -242,11 +262,11 @@ class Field:
 
     def l2sq(self) -> float:
         """Squared L2 norm over the strip, by Parseval."""
-        return parseval_sum(parseval_tables(self.geometry).l2, self.coeffs)
+        return parseval_sums(self.coeffs, parseval_tables(self.geometry).l2)[0]
 
     def gradsq(self) -> float:
         """Squared L2 norm of the gradient, by Parseval."""
-        return parseval_sum(parseval_tables(self.geometry).grad, self.coeffs)
+        return parseval_sums(self.coeffs, parseval_tables(self.geometry).grad)[0]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -396,5 +416,5 @@ def make_random_field(geom: StripGeometry, seed: int) -> Field:
     )
     block[0, :] = block[0, :].real  # mean mode of a real field is real
     coeffs[: nx_max + 1, :j_max] = block
-    l2 = parseval_sum(parseval_tables(geom).l2, coeffs)
+    l2 = parseval_sums(coeffs, parseval_tables(geom).l2)[0]
     return Field(geom, coeffs * float(1.0 / np.sqrt(l2)))

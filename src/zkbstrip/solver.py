@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import TimeSeries, sample_field
-from .fields import Field, _band, band_shape, parseval_sum, parseval_tables
+from .fields import Field, _band, band_shape, parseval_sums, parseval_tables
 from .geometry import StripGeometry
 
 DISPERSION_SANITY_LIMIT = 50.0
@@ -164,15 +164,31 @@ class Stepper:
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
             return self.E * c
+        # Each stage sum is formed in place with the operands in the order
+        # of the plain expression
+        #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(2*nb - n0),
+        #   E*c + f1*n0 + f2*(na + nb) + f3*nc,
+        # so the result is the same to the bit: the complex product is not
+        # bitwise commutative, the sum is.
         e2c = self.E2 * c
         n0 = self.nonlinear_rhs(c)
-        a = e2c + self.M * n0
+        a = np.multiply(self.M, n0)
+        a += e2c
         na = self.nonlinear_rhs(a)
-        b = e2c + self.M * na
+        b = np.multiply(self.M, na)
+        b += e2c
         nb = self.nonlinear_rhs(b)
-        cc = self.E2 * a + self.M * (2.0 * nb - n0)
+        d = np.multiply(2.0, nb, out=b)
+        d -= n0
+        cc = np.multiply(self.E2, a, out=a)
+        cc += np.multiply(self.M, d, out=d)
         nc = self.nonlinear_rhs(cc)
-        return self.E * c + self.f1 * n0 + self.f2 * (na + nb) + self.f3 * nc
+        out = np.multiply(self.E, c, out=e2c)
+        out += np.multiply(self.f1, n0, out=n0)
+        na += nb
+        out += np.multiply(self.f2, na, out=na)
+        out += np.multiply(self.f3, nc, out=nc)
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -203,10 +219,10 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
 
     series = TimeSeries(geometry=geom, samples=[])
 
-    l2_0 = parseval_sum(st.w_l2, c)
+    l2_0, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
     blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
     diss = 0.0
-    f_prev = 2.0 * parseval_sum(st.w_dx, c)
+    f_prev = 2.0 * dxsq
 
     def record(step_idx: int, l2_now: float) -> bool:
         """Append a sample; True when the observer ends the run."""
@@ -219,11 +235,11 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
         n_steps = 0  # the observer ended the run at its first sample
     for n in range(1, n_steps + 1):
         c = st.step_erk4(c)
-        l2_now = parseval_sum(st.w_l2, c)
+        l2_now, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
         if not math.isfinite(l2_now) or l2_now > blow_limit:
             series.status = "blow-up"
             raise BlowUpError(n * cfg.dt, l2_now, series)
-        f_now = 2.0 * parseval_sum(st.w_dx, c)
+        f_now = 2.0 * dxsq
         diss += 0.5 * cfg.dt * (f_prev + f_now)
         f_prev = f_now
         if n % cfg.output_every == 0 or n == n_steps:

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from zkbstrip import StripGeometry, eigenvalue, evaluate_mode
-from zkbstrip.fields import parseval_sum, parseval_tables, to_grid, to_spectral
+from zkbstrip.fields import parseval_sums, parseval_tables, to_grid, to_spectral
 
 from conftest import (
     coupling_coefficient,
@@ -123,9 +123,12 @@ class TestSineTransform:
             for _ in range(5):
                 v = rng.standard_normal((8, Ny))
                 c = to_spectral(v, g)
-                assert parseval_sum(parseval_tables(g).l2, c) == pytest.approx(
-                    g.dx * g.dy * np.sum(v**2), rel=1e-10
-                )
+                tables = parseval_tables(g)
+                sums = parseval_sums(c, *tables)
+                assert sums[0] == pytest.approx(g.dx * g.dy * np.sum(v**2),
+                                                rel=1e-10)
+                # one sum per table, each as if computed on its own
+                assert sums == tuple(parseval_sums(c, t)[0] for t in tables)
 
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(3)

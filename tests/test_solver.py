@@ -15,8 +15,10 @@ from zkbstrip import (
     run,
     weighted_inner,
 )
+from zkbstrip.fields import _band, to_grid
 from zkbstrip.solver import (
     DISPERSION_SANITY_LIMIT,
+    Stepper,
     _phi123,
     check_dispersion_sanity,
 )
@@ -276,6 +278,83 @@ class TestBandEquivalence:
         cfg = SolverConfig(dt=1e-3, t_end=1e-3, dealias=dealias)
         got = final_field(Field(g, c), cfg).coeffs
         assert self.close(got, reference_etdrk4_step(c, g, 1e-3, dealias))
+
+
+def allocating_etdrk4_step(st: Stepper, c: np.ndarray) -> np.ndarray:
+    """One ETDRK4 step as the plain allocating expression on the band."""
+    rhs = st.band.rhs
+    e2c = st.E2 * c
+    n0 = rhs(c)
+    a = e2c + st.M * n0
+    na = rhs(a)
+    b = e2c + st.M * na
+    nb = rhs(b)
+    cc = st.E2 * a + st.M * (2.0 * nb - n0)
+    nc = rhs(cc)
+    return st.E * c + st.f1 * n0 + st.f2 * (na + nb) + st.f3 * nc
+
+
+class TestInPlaceStep:
+    """The stepper forms its stage sums in place and the band product
+    reuses scratch arrays; neither may change a bit of the result."""
+
+    @pytest.mark.parametrize("Lx,Nx,Ny,dealias", [
+        (30.0, 1024, 32, True),
+        (8.0, 64, 12, False),
+        (np.pi, 10, 7, True),
+    ])
+    def test_matches_allocating_step(self, Lx, Nx, Ny, dealias):
+        g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
+        st = Stepper(g, SolverConfig(dt=1e-3, t_end=1.0, dealias=dealias))
+        c = st.band.gather(0.1 * random_coeffs(g, seed=Nx))
+        want = c.copy()
+        for _ in range(20):
+            c = st.step_erk4(c)
+            want = allocating_etdrk4_step(st, want)
+            assert np.array_equal(c, want)
+
+    def test_rhs_results_do_not_alias(self):
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        band = _band(g, True)
+        c = band.gather(random_coeffs(g, seed=1))
+        n0 = band.rhs(c)
+        kept = n0.copy()
+        for seed in (2, 3, 4):
+            band.rhs(band.gather(random_coeffs(g, seed)))
+        assert np.array_equal(n0, kept)
+
+    def test_transforms_between_steps_leave_run_unchanged(self):
+        # the undealiased stepper shares its band with to_grid and
+        # Field.values; neither may touch the product's scratch arrays
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
+        u0 = make_random_field(g, seed=5) * 0.2
+        other = Field(g, random_coeffs(g, seed=9))
+        other_values = other.values.copy()
+        cfg = SolverConfig(dt=1e-3, t_end=0.02, dealias=False)
+
+        def runs(observer):
+            fields = []
+
+            def record(sample, u):
+                fields.append(u.coeffs)
+                observer()
+
+            series = run(u0, cfg, observer=record)
+            return [tuple(vars(s).values()) for s in series.samples], fields
+
+        grids, stale = [], []
+
+        def transforms():
+            # the grids made at the last sample must survive the step since
+            stale.extend(not np.array_equal(v, other_values) for v in grids)
+            grids[:] = to_grid(other.coeffs, g), Field(g, other.coeffs).values
+
+        plain, plain_fields = runs(lambda: None)
+        busy, busy_fields = runs(transforms)
+        assert busy == plain
+        assert all(np.array_equal(a, b) for a, b in zip(busy_fields, plain_fields))
+        assert len(busy_fields) == 21
+        assert len(stale) == 40 and not any(stale)
 
 
 class TestRun:
