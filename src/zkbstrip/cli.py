@@ -106,10 +106,12 @@ class RunConfig:
 
 
 _GEOMETRY_KEYS = {"B", "Lx", "Nx", "Ny", "b"}
+# Retired solver keys and the one value each still accepts, so older
+# configs and stored manifests keep parsing
+_RETIRED_SOLVER_VALUES = {"scheme": "exponential-RK4", "dealias": True}
 _SOLVER_KEYS = {
-    "dt", "t_end", "scheme", "dealias", "convection", "output_every",
-    "nonlinear", "diss_per_step",
-}
+    "dt", "t_end", "convection", "output_every", "nonlinear", "diss_per_step",
+} | _RETIRED_SOLVER_VALUES.keys()
 _INITIAL_KEYS = {"kind", "amplitude", "x0", "s", "j", "k", "values",
                  "target_l2_norm"}
 _EXPERIMENT_KEYS = {"fit_window", "thresholds"}
@@ -195,22 +197,21 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(sol, dict):
         raise ConfigError("type mismatch at solver: expected object")
     _check_keys(sol, _SOLVER_KEYS, "solver.")
-    # the one scheme is still accepted by name, and diss_per_step as an
-    # ignored boolean (the dissipation is accumulated at every step), so
-    # older configs and stored manifests keep parsing
-    if sol.get("scheme", "exponential-RK4") != "exponential-RK4":
-        raise ConfigError(
-            f"invalid value at solver.scheme: expected \"exponential-RK4\", "
-            f"got {sol['scheme']!r}"
-        )
-    for key in ("dealias", "nonlinear", "diss_per_step"):
+    for key, only in _RETIRED_SOLVER_VALUES.items():
+        # type() keeps true distinct from 1
+        if key in sol and (type(sol[key]) is not type(only) or sol[key] != only):
+            raise ConfigError(
+                f"invalid value at solver.{key}: expected {json.dumps(only)}, "
+                f"got {json.dumps(sol[key])}")
+    # diss_per_step is an ignored boolean, also kept for older configs: the
+    # dissipation is accumulated at every step
+    for key in ("nonlinear", "diss_per_step"):
         if key in sol and not isinstance(sol[key], bool):
             raise ConfigError(f"type mismatch at solver.{key}: expected boolean")
     try:
         solver = SolverConfig(
             dt=_number(sol, "solver.", "dt", required=True),
             t_end=_number(sol, "solver.", "t_end", required=True),
-            dealias=sol.get("dealias", True),
             convection=_integer(sol, "solver.", "convection", default=0),
             output_every=_integer(sol, "solver.", "output_every", default=1),
             nonlinear=sol.get("nonlinear", True),

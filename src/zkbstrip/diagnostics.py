@@ -50,7 +50,7 @@ def _sup_weights(geom: StripGeometry) -> np.ndarray:
 
 def _modes(u: Field) -> np.ndarray:
     """(Nx, J) amplitudes a_j(x) of u's leading non-zero y modes."""
-    return _band(u.geometry, False).x_modes(u.coeffs)
+    return _band(u.geometry).x_modes(u.coeffs)
 
 
 def _weighted_density(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,

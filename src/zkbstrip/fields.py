@@ -43,20 +43,18 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sin(np.pi * np.outer(m, m) / (n + 1))
 
 
-def band_shape(geom: StripGeometry, dealias: bool) -> tuple[int, int]:
+def band_shape(geom: StripGeometry) -> tuple[int, int]:
     """(nb, nj): the x slots n < Nx/3 and the y modes j <= 2*Ny/3 kept
-    by the 2/3 rule, or all (Nx//2+1, Ny) of them without dealiasing.
+    by the 2/3 rule.  The Nyquist slot n = Nx/2 is never among them.
 
     The first mode of each direction is always retained so degenerate
     grids (Ny in {1, 2}) stay usable.
     """
-    if not dealias:
-        return geom.Nx // 2 + 1, geom.Ny
     return (geom.Nx + 2) // 3, max(1, (2 * geom.Ny) // 3)
 
 
 class _Band:
-    """The retained band of coefficients as a (nj, nb) array, x contiguous.
+    """The 2/3 band of coefficients as a (nj, nb) array, x contiguous.
 
     Only the first nj y modes and nb x slots are ever non-zero in a run,
     so the stepper keeps just those.  The grid is reached by an x irfft
@@ -68,27 +66,25 @@ class _Band:
     derivative of the product sits in one per-slot factor.  The product
     writes its x samples, grid values and spectrum into scratch arrays
     made on its first call, so a band that only serves the transforms
-    below never holds them.  The full
-    band (``dealias=False``) also serves :func:`to_grid` and
-    :func:`to_spectral`, which scale after the sine product, as a plain
-    type-I DST does: a scale folded into the matrix rounds the sampled
-    initial data differently, and long contaminated runs amplify that
-    last bit to 1e-13 in the tail mass.
+    below never holds them.  One band per geometry also serves
+    :func:`to_grid`, :func:`to_spectral` and :meth:`x_modes`, which
+    take every y mode of the full sine matrix and scale after the sine
+    product, as a plain type-I DST does: a scale folded into the matrix
+    rounds the sampled initial data differently, and long contaminated
+    runs amplify that last bit to 1e-13 in the tail mass.
     """
 
-    def __init__(self, geom: StripGeometry, dealias: bool):
-        nb, nj = band_shape(geom, dealias)
+    def __init__(self, geom: StripGeometry):
+        nb, nj = band_shape(geom)
         self.geom = geom
         self.nb, self.nj = nb, nj
-        self.sines = _sine_matrix(geom.Ny)[:, :nj]
+        self.sines = _sine_matrix(geom.Ny)
         self.grid_scale = geom.Nx * math.sqrt(2.0 / geom.B)
         self.coeff_scale = math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx)
-        self.synthesis = self.grid_scale * self.sines
-        self.analysis = self.sines.T * self.coeff_scale
-        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat; odd x-derivatives of a real
-        # field vanish on the Nyquist slot, which only the full band holds
+        self.synthesis = self.grid_scale * self.sines[:, :nj]
+        self.analysis = self.sines[:, :nj].T * self.coeff_scale
+        # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
         self.slot = (-0.5j) * geom.wavenumbers()[:nb]
-        self.slot[geom.Nx // 2:] = 0.0
         for table in (self.sines, self.synthesis, self.analysis, self.slot):
             table.setflags(write=False)  # shared through the cache
         self._scratch = None
@@ -129,13 +125,13 @@ class _Band:
 
 
 @lru_cache(maxsize=32)
-def _band(geom: StripGeometry, dealias: bool) -> _Band:
-    return _Band(geom, dealias)
+def _band(geom: StripGeometry) -> _Band:
+    return _Band(geom)
 
 
 def to_spectral(values: np.ndarray, geom: StripGeometry) -> np.ndarray:
     """Grid samples (Nx, Ny) -> coefficient tensor (Nx//2+1, Ny)."""
-    band = _band(geom, False)
+    band = _band(geom)
     return rfft((values @ band.sines) * band.coeff_scale, axis=0)
 
 
@@ -152,7 +148,7 @@ def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
     Trailing all-zero modes are skipped: the transform is bit-identical
     to the one over them.
     """
-    band = _band(geom, False)
+    band = _band(geom)
     coeffs = _leading_modes(coeffs)
     sines = band.sines[:, : coeffs.shape[1]]
     return (irfft(coeffs, n=geom.Nx, axis=0) @ sines.T) * band.grid_scale

@@ -14,6 +14,7 @@ live in :mod:`zkbstrip.fields`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,18 @@ class StripGeometry:
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.B > 0:
-            raise ValueError(f"strip width B must be positive, got {self.B}")
-        if not self.Lx > 0:
-            raise ValueError(f"half-length Lx must be positive, got {self.Lx}")
+        if not 0 < self.B < math.inf:
+            raise ValueError(
+                f"strip width B must be positive and finite, got {self.B}")
+        if not 0 < self.Lx < math.inf:
+            raise ValueError(
+                f"half-length Lx must be positive and finite, got {self.Lx}")
         if self.Nx < 4 or self.Nx % 2 != 0:
             raise ValueError(f"Nx must be even and >= 4, got {self.Nx}")
         if self.Ny < 1:
             raise ValueError(f"Ny must be >= 1, got {self.Ny}")
-        if self.b < 0:
-            raise ValueError(f"weight rate b must be >= 0, got {self.b}")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(f"weight rate b must be >= 0 and finite, got {self.b}")
 
     @property
     def dx(self) -> float:

@@ -58,7 +58,6 @@ class SolverConfig:
 
     dt: float
     t_end: float
-    dealias: bool = True
     convection: int = 0
     output_every: int = 1
     nonlinear: bool = True
@@ -87,13 +86,11 @@ class BlowUpError(RuntimeError):
 def check_dispersion_sanity(geom: StripGeometry, cfg: SolverConfig):
     """Guard the explicit nonlinear stage against extreme phase rotation.
 
-    Evaluated at the gravest y-eigenvalue, where the cubic x-dispersion
-    dominates the retained band; the exponential integrator itself is
-    exact on the linear part at any dt.  The Nyquist slot of an
-    undealiased band does not rotate (see :class:`Stepper`), so it is
-    left out.
+    Evaluated on the x slots of the 2/3 band at the gravest
+    y-eigenvalue, where the cubic x-dispersion dominates; the
+    exponential integrator itself is exact on the linear part at any dt.
     """
-    k = geom.wavenumbers()[: min(band_shape(geom, cfg.dealias)[0], geom.Nx // 2)]
+    k = geom.wavenumbers()[: band_shape(geom)[0]]
     sigma = linear_symbol(k, geom.eigenvalues()[0], cfg.convection)
     stiff = float(np.max(np.abs(sigma.imag)))
     if cfg.dt * stiff >= DISPERSION_SANITY_LIMIT:
@@ -138,11 +135,10 @@ class Stepper:
     def __init__(self, geom: StripGeometry, cfg: SolverConfig):
         self.geom = geom
         self.cfg = cfg
-        self.band = _band(geom, cfg.dealias)
+        self.band = _band(geom)
         sigma = linear_symbol(geom.wavenumbers()[None, : self.band.nb],
                               geom.eigenvalues()[: self.band.nj, None],
                               cfg.convection)
-        sigma[:, geom.Nx // 2:].imag = 0.0  # Nyquist slot, as in _Band.slot
         pw = parseval_tables(geom)
         self.w_l2 = self.band.gather(pw.l2)
         self.w_dx = self.band.gather(pw.dx)

@@ -45,8 +45,8 @@ class TheoremConstants:
 
 def constants_for_width(B: float) -> TheoremConstants:
     """Evaluate the optimal weight rate, decay rate, and thresholds."""
-    if not B > 0:
-        raise ValueError(f"strip width B must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ValueError(f"strip width B must be positive and finite, got {B}")
     root = math.sqrt(1.0 + 5.0 * math.pi**2 / (4.0 * B * B))
     b_star = (root - 1.0) / 5.0
     chi = b_star * math.pi**2 / (4.0 * B * B)

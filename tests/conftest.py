@@ -67,9 +67,9 @@ def coupling_coefficient(i: int, j: int, k: int, B: float) -> float:
     return (2.0 / B) ** 1.5 * (B / np.pi) * _sin_triple(i, j, k)
 
 
-def nonlinear_term(u, dealias=True):
-    """u*u_x of the band projection of u, by the package's band product."""
-    band = _band(u.geometry, dealias)
+def nonlinear_term(u):
+    """u*u_x of the 2/3 band projection of u, by the package's band product."""
+    band = _band(u.geometry)
     return Field(u.geometry, band.scatter(-band.rhs(band.gather(u.coeffs))))
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +48,6 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(json.dumps(base_doc()))
-        assert cfg.solver.dealias is True
         assert cfg.solver.convection == 0
         assert cfg.experiment.fit_window == "last-half-clean"
 
@@ -109,6 +110,24 @@ class TestParseConfig:
         doc = base_doc(solver={"scheme": "IMEX-CNAB2"})
         with pytest.raises(ConfigError, match="solver.scheme"):
             parse_config(json.dumps(doc))
+
+    def test_dealias_accepts_only_true(self):
+        plain = parse_config(json.dumps(base_doc())).solver
+        doc = base_doc(solver={"dealias": True})
+        assert parse_config(json.dumps(doc)).solver == plain
+        for value in (False, 1, "true"):
+            doc = base_doc(solver={"dealias": value})
+            with pytest.raises(ConfigError,
+                               match="invalid value at solver.dealias"):
+                parse_config(json.dumps(doc))
+
+    def test_readme_config_example(self):
+        # the README's annotated config stays a valid spelling of paper-ref
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(re.sub(r"//.*", "", block))
+        ref = paper_ref_config()
+        assert (cfg.geometry, cfg.solver) == (ref.geometry, ref.solver)
 
     @pytest.mark.parametrize("block,key,literal", [
         ("geometry", "Nx", "Infinity"),
@@ -216,7 +235,10 @@ class TestConstantsCommand:
         assert payload["b_star"] == pytest.approx(0.2898979485566356, abs=1e-12)
 
     def test_invalid_width(self, capsys):
-        assert main(["constants", "--B", "-1.0"]) == 1
+        for width in ("-1.0", "inf", "nan"):
+            assert main(["constants", "--B", width]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
 
 
 class TestSimulateCommand:
@@ -426,6 +448,21 @@ class TestMalformedManifest:
         assert message in err
         with pytest.raises(ConfigError, match=message):
             read_manifest(out)
+
+    def test_fit_decay_rejects_undealiased_run(self, small_run_dir, tmp_path,
+                                               capsys):
+        # a run stored with "dealias": false cannot be reproduced
+        out = tmp_path / "run"
+        shutil.copytree(small_run_dir, out)
+
+        def undealiased(m):
+            m["config"]["solver"]["dealias"] = False
+            return m
+        _manifest_edit(undealiased)(out)
+        capsys.readouterr()
+        assert main(["fit-decay", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "solver.dealias" in err
 
 
 class TestReadSeriesCsv:

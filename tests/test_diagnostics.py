@@ -207,7 +207,7 @@ class TestModeSpacePairing:
         if n_live > 2:
             c[:, 1] = 0.0  # an inner zero mode is kept, only trailing ones go
         full = _untrimmed_x_modes(c, g)
-        modes = _band(g, False).x_modes(c)
+        modes = _band(g).x_modes(c)
         assert modes.shape == (g.Nx, n_live)
         assert np.array_equal(modes, full[:, :n_live])
         assert np.all(full[:, n_live:] == 0.0)

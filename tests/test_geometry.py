@@ -211,6 +211,13 @@ class TestGeometryInvariants:
         with pytest.raises(ValueError):
             StripGeometry(B=1.0, Lx=1.0, Nx=8, Ny=4, b=-0.1)
 
+    @pytest.mark.parametrize("field", ["B", "Lx", "b"])
+    def test_non_finite_rejected(self, field):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                StripGeometry(**{"B": 1.0, "Lx": 1.0, "Nx": 8, "Ny": 4,
+                                 field: value})
+
     def test_grids(self):
         g = StripGeometry(B=2.0, Lx=5.0, Nx=10, Ny=4)
         x = g.x_grid()

@@ -33,29 +33,21 @@ from conftest import (
 )
 
 
-def band_mask(g: StripGeometry, dealias: bool) -> np.ndarray:
-    """Full-layout 0/1 mask of the 2/3 rule: n < Nx/3, j <= max(1, 2*Ny//3)."""
+def band_mask(g: StripGeometry) -> np.ndarray:
+    """Full-layout 0/1 mask of the 2/3 rule: n < Nx/3, j <= max(1, 2*Ny//3).
+    It zeroes the Nyquist slot n = Nx/2."""
     mask = np.ones((g.Nx // 2 + 1, g.Ny))
-    if dealias:
-        mask[np.arange(g.Nx // 2 + 1) >= g.Nx / 3.0, :] = 0.0
-        mask[:, max(1, 2 * g.Ny // 3):] = 0.0
+    mask[np.arange(g.Nx // 2 + 1) >= g.Nx / 3.0, :] = 0.0
+    mask[:, max(1, 2 * g.Ny // 3):] = 0.0
     return mask
 
 
-def odd_wavenumbers(g: StripGeometry) -> np.ndarray:
-    """k_n for odd x-derivatives: zero on the Nyquist slot, where the
-    odd derivatives of a real field vanish."""
-    k = g.wavenumbers()
-    k[-1] = 0.0
-    return k
-
-
-def reference_rhs(c: np.ndarray, g: StripGeometry, dealias: bool) -> np.ndarray:
+def reference_rhs(c: np.ndarray, g: StripGeometry) -> np.ndarray:
     """-(u u_x)^hat in the full coefficient layout, through the scipy
     reference transforms, on the band projection of c."""
-    mask = band_mask(g, dealias)
+    mask = band_mask(g)
     u = reference_to_grid(c * mask, g)
-    return ((-0.5j) * odd_wavenumbers(g)[:, None]
+    return ((-0.5j) * g.wavenumbers()[:, None]
             * reference_to_spectral(u * u, g) * mask)
 
 
@@ -112,21 +104,13 @@ class TestConfigValidation:
         g = StripGeometry(B=np.pi, Lx=30.0, Nx=1024, Ny=32, b=0.1)
         check_dispersion_sanity(g, SolverConfig(dt=1e-3, t_end=40.0))
 
-    def test_guard_skips_undealiased_nyquist_slot(self):
-        # the stepper does not rotate the Nyquist slot, so the largest
-        # rotation at dt = 0.013 is 44.1 (k = 15), not 53.5 (k = 16)
+    def test_guard_stops_at_band_edge(self):
+        # the 2/3 band of a 32-point grid ends at slot n = 10, k = 10
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=32, Ny=4)
-        k = g.wavenumbers()[: g.Nx // 2]
-        stiff = np.max(np.abs(linear_symbol(k, g.eigenvalues()[0]).imag))
-        assert 0.013 * stiff == pytest.approx(44.07, abs=0.01)
-        cfg = SolverConfig(dt=0.013, t_end=0.013, dealias=False)
-        check_dispersion_sanity(g, cfg)
-        assert len(run(make_random_field(g, seed=0), cfg).samples) == 2
-        limit = DISPERSION_SANITY_LIMIT / stiff
-        for dt in (limit * 1.001, 0.015):
-            with pytest.raises(ValueError, match="Im sigma"):
-                check_dispersion_sanity(
-                    g, SolverConfig(dt=dt, t_end=dt, dealias=False))
+        limit = DISPERSION_SANITY_LIMIT / linear_symbol(10.0, 1.0).imag
+        check_dispersion_sanity(g, SolverConfig(dt=limit * 0.999, t_end=1.0))
+        with pytest.raises(ValueError, match="Im sigma"):
+            check_dispersion_sanity(g, SolverConfig(dt=limit * 1.001, t_end=1.0))
 
 
 class TestLinearExactness:
@@ -165,23 +149,17 @@ class TestLinearExactness:
         assert len(fields) == 2
         assert np.all(fields[-1].coeffs == 0.0)
 
-    def test_dealias_off_keeps_modes_outside_band(self):
+    def test_modes_outside_band_leave_only_round_off(self):
         # n = 12 lies outside the 2/3 band n < 32/3 of a 32-point grid
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=32, Ny=4)
         f0, _, _ = make_initial_field(
             InitialData(kind="single_mode", amplitude=1.0, k=12.0, j=1), g
         )
-        finals = {}
-        for dealias in (False, True):
-            cfg = SolverConfig(dt=1e-3, t_end=0.01, nonlinear=False,
-                               dealias=dealias, output_every=10)
-            finals[dealias] = final_field(f0, cfg)
-        ratio = finals[False].coeffs[12, 0] / f0.coeffs[12, 0]
-        assert ratio == pytest.approx(np.exp(linear_symbol(12.0, 1.0) * 0.01),
-                                      rel=1e-13)
+        cfg = SolverConfig(dt=1e-3, t_end=0.01, nonlinear=False, output_every=10)
+        final = final_field(f0, cfg)
         # only the sampling round-off inside the band is left
-        assert np.all(finals[True].coeffs[11:, :] == 0.0)
-        assert np.max(np.abs(finals[True].coeffs)) < 1e-15
+        assert np.all(final.coeffs[11:, :] == 0.0)
+        assert np.max(np.abs(final.coeffs)) < 1e-15
 
     def test_convection_switch(self):
         # with c=1 the k=1, lam=1 mode rotates at k*(k^2+lam-1) = 1
@@ -224,7 +202,7 @@ class TestNonlinearTerm:
     def test_dealias_removes_high_modes(self):
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=48, Ny=12)
         u = make_random_field(g, seed=2)
-        out = nonlinear_term(u, dealias=True)
+        out = nonlinear_term(u)
         assert np.all(out.coeffs[16:, :] == 0.0)  # n >= Nx/3
         assert np.all(out.coeffs[:, 8:] == 0.0)   # j > 2*Ny/3
 
@@ -238,24 +216,22 @@ def random_coeffs(g: StripGeometry, seed: int) -> np.ndarray:
     return c
 
 
-def reference_etdrk4_step(c: np.ndarray, g: StripGeometry, dt: float,
-                          dealias: bool) -> np.ndarray:
+def reference_etdrk4_step(c: np.ndarray, g: StripGeometry, dt: float) -> np.ndarray:
     """One ETDRK4 step in the full layout, from the band projection of c."""
-    k, k_odd = g.wavenumbers()[:, None], odd_wavenumbers(g)[:, None]
-    z = dt * (-(k**2) + 1j * k_odd * (k**2 + g.eigenvalues()[None, :]))
+    k = g.wavenumbers()[:, None]
+    z = dt * (-(k**2) + 1j * k * (k**2 + g.eigenvalues()[None, :]))
     (p1h, _, _), (p1, p2, p3) = _phi123(z / 2.0), _phi123(z)
     E, E2, M = np.exp(z), np.exp(z / 2.0), (dt / 2.0) * p1h
-    c = c * band_mask(g, dealias)
-    n0 = reference_rhs(c, g, dealias)
+    c = c * band_mask(g)
+    n0 = reference_rhs(c, g)
     a = E2 * c + M * n0
-    na = reference_rhs(a, g, dealias)
-    nb = reference_rhs(E2 * c + M * na, g, dealias)
-    nc = reference_rhs(E2 * a + M * (2.0 * nb - n0), g, dealias)
+    na = reference_rhs(a, g)
+    nb = reference_rhs(E2 * c + M * na, g)
+    nc = reference_rhs(E2 * a + M * (2.0 * nb - n0), g)
     return (E * c + dt * (p1 - 3.0 * p2 + 4.0 * p3) * n0
             + 2.0 * dt * (p2 - 2.0 * p3) * (na + nb) + dt * (4.0 * p3 - p2) * nc)
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("Nx,Ny", [(4, 1), (4, 2), (4, 3), (10, 7), (48, 12)])
 class TestBandEquivalence:
     """The band-only stepper against the full-layout transforms and an
@@ -266,18 +242,18 @@ class TestBandEquivalence:
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_nonlinear_term(self, Nx, Ny, dealias):
+    def test_nonlinear_term(self, Nx, Ny):
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
         c = random_coeffs(g, seed=Nx + Ny)
-        got = nonlinear_term(Field(g, c), dealias=dealias).coeffs
-        assert self.close(got, -reference_rhs(c, g, dealias))
+        got = nonlinear_term(Field(g, c)).coeffs
+        assert self.close(got, -reference_rhs(c, g))
 
-    def test_one_step_run(self, Nx, Ny, dealias):
+    def test_one_step_run(self, Nx, Ny):
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
         c = random_coeffs(g, seed=Nx * Ny)
-        cfg = SolverConfig(dt=1e-3, t_end=1e-3, dealias=dealias)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-3)
         got = final_field(Field(g, c), cfg).coeffs
-        assert self.close(got, reference_etdrk4_step(c, g, 1e-3, dealias))
+        assert self.close(got, reference_etdrk4_step(c, g, 1e-3))
 
 
 def allocating_etdrk4_step(st: Stepper, c: np.ndarray) -> np.ndarray:
@@ -298,14 +274,14 @@ class TestInPlaceStep:
     """The stepper forms its stage sums in place and the band product
     reuses scratch arrays; neither may change a bit of the result."""
 
-    @pytest.mark.parametrize("Lx,Nx,Ny,dealias", [
-        (30.0, 1024, 32, True),
-        (8.0, 64, 12, False),
-        (np.pi, 10, 7, True),
+    @pytest.mark.parametrize("Lx,Nx,Ny", [
+        (30.0, 1024, 32),
+        (8.0, 64, 12),
+        (np.pi, 10, 7),
     ])
-    def test_matches_allocating_step(self, Lx, Nx, Ny, dealias):
+    def test_matches_allocating_step(self, Lx, Nx, Ny):
         g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
-        st = Stepper(g, SolverConfig(dt=1e-3, t_end=1.0, dealias=dealias))
+        st = Stepper(g, SolverConfig(dt=1e-3, t_end=1.0))
         c = st.band.gather(0.1 * random_coeffs(g, seed=Nx))
         want = c.copy()
         for _ in range(20):
@@ -315,7 +291,7 @@ class TestInPlaceStep:
 
     def test_rhs_results_do_not_alias(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
-        band = _band(g, True)
+        band = _band(g)
         c = band.gather(random_coeffs(g, seed=1))
         n0 = band.rhs(c)
         kept = n0.copy()
@@ -323,14 +299,18 @@ class TestInPlaceStep:
             band.rhs(band.gather(random_coeffs(g, seed)))
         assert np.array_equal(n0, kept)
 
+    def test_stepper_steps_the_transform_band(self):
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        assert Stepper(g, SolverConfig(dt=1e-3, t_end=1.0)).band is _band(g)
+
     def test_transforms_between_steps_leave_run_unchanged(self):
-        # the undealiased stepper shares its band with to_grid and
-        # Field.values; neither may touch the product's scratch arrays
+        # the stepper shares its band with to_grid and Field.values;
+        # neither may touch the product's scratch arrays
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         u0 = make_random_field(g, seed=5) * 0.2
         other = Field(g, random_coeffs(g, seed=9))
         other_values = other.values.copy()
-        cfg = SolverConfig(dt=1e-3, t_end=0.02, dealias=False)
+        cfg = SolverConfig(dt=1e-3, t_end=0.02)
 
         def runs(observer):
             fields = []
@@ -460,7 +440,7 @@ def cnab2_final(u0: Field, dt: float, t_end: float) -> Field:
     z = dt * (-(k**2) + 1j * k * (k**2 + g.eigenvalues()[None, :]))
     cn_inv = 1.0 / (1.0 - z / 2.0)
     cn_fwd = (1.0 + z / 2.0) * cn_inv
-    c = u0.coeffs * band_mask(g, True)
+    c = u0.coeffs * band_mask(g)
     n_prev = None
     for _ in range(int(round(t_end / dt))):
         n_cur = -nonlinear_term(Field(g, c)).coeffs
