@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     CONTAMINATION_THRESHOLD,
+    DecayFit,
     NormSample,
     TimeSeries,
     default_fit_window,
@@ -52,7 +53,7 @@ EXIT_USAGE = 1
 EXIT_CONTAMINATED = 2
 EXIT_BLOWUP = 3
 
-CSV_HEADER = "t,l2,diss_cum,w_l2,w_h1,sup_w,tail"
+CSV_HEADER = ",".join(f.name for f in fields(NormSample))
 DECAY_TOLERANCE = 0.05  # fitted rate may undershoot chi by at most 5%
 STABLE_TOLERANCE = 0.10  # cdep ratios may differ from 1 by at most 10%
 
@@ -327,8 +328,7 @@ def _sha256(path: Path) -> str:
 def write_series_csv(series: TimeSeries, path: Path):
     lines = [CSV_HEADER]
     for s in series.samples:
-        lines.append(",".join(fmt(v) for v in (
-            s.t, s.l2, s.diss_cum, s.w_l2, s.w_h1, s.sup_w, s.tail)))
+        lines.append(",".join(fmt(v) for v in astuple(s)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -444,12 +444,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fit_from_dir(run_dir: Path, norm: str, t0, t1):
-    manifest = read_manifest(run_dir)
-    if manifest["status"] == "blow-up":
-        raise ConfigError("run blew up; no decay fit possible")
-    config = parse_config(json.dumps(manifest["config"]))
-    series = read_series_csv(run_dir / "series.csv", config.geometry)
+def _fit_decay(series: TimeSeries, config: RunConfig, norm: str,
+               t0=None, t1=None) -> tuple[DecayFit, float, bool]:
+    """(fit, chi, compliant) of one norm of a run.  A window end left as
+    None comes from experiment.fit_window; a window reaching into the
+    contaminated segment is a ConfigError."""
     if t0 is None or t1 is None:
         w = config.experiment.fit_window
         if w == "last-half-clean":
@@ -465,12 +464,17 @@ def _fit_from_dir(run_dir: Path, norm: str, t0, t1):
         )
     fit = fit_decay_rate(series, norm, t0, t1)
     chi = constants_for_width(config.geometry.B).chi
-    return fit, chi, config
+    return fit, chi, fit.rate >= chi * (1.0 - DECAY_TOLERANCE)
 
 
 def cmd_fit_decay(args) -> int:
-    fit, chi, _ = _fit_from_dir(Path(args.out), args.norm, args.t0, args.t1)
-    compliant = fit.rate >= chi * (1.0 - DECAY_TOLERANCE)
+    run_dir = Path(args.out)
+    manifest = read_manifest(run_dir)
+    if manifest["status"] == "blow-up":
+        raise ConfigError("run blew up; no decay fit possible")
+    config = parse_config(json.dumps(manifest["config"]))
+    series = read_series_csv(run_dir / "series.csv", config.geometry)
+    fit, chi, compliant = _fit_decay(series, config, args.norm, args.t0, args.t1)
     print(json.dumps({
         "norm": fit.norm,
         "window": [fit.t0, fit.t1],
@@ -585,10 +589,8 @@ def _sweep_cell(template_json: str, B: float, amp_frac: float, out_dir: str):
     try:
         series, _ = _execute_run(config, cell_dir)
         row["status"] = series.status
-        t0, t1 = default_fit_window(series)
-        fit = fit_decay_rate(series, "w_l2", t0, t1)
+        fit, _, passed = _fit_decay(series, config, "w_l2")
         row["fitted_rate"] = fit.rate
-        passed = fit.rate >= consts.chi * (1.0 - DECAY_TOLERANCE)
         if row["within_threshold"]:
             row["compliant"] = "pass" if passed else "fail"
         else:
@@ -614,6 +616,8 @@ def cmd_sweep(args) -> int:
     if not all(math.isfinite(a) and a > 0 for a in amps):
         raise ConfigError(
             f"amplitude fractions must be finite and > 0, got {args.amps}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     template_json = json.dumps(template.raw)
@@ -623,8 +627,10 @@ def cmd_sweep(args) -> int:
         for idx_b, B in enumerate(widths)
         for idx_a, amp in enumerate(amps)
     ]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+    # no more worker processes than cells: the pool starts them all at once
+    workers = min(args.workers, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(
                 _sweep_cell,
                 [template_json] * len(cells),

@@ -15,8 +15,7 @@ pairing builds grid values; only the weighted sup does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,27 +24,6 @@ from .geometry import StripGeometry
 
 CONTAMINATION_THRESHOLD = 1e-6
 TAIL_BAND_FRACTION = 0.1
-
-NORM_COLUMNS = ("l2", "diss_cum", "w_l2", "w_h1", "sup_w", "tail")
-
-
-@lru_cache(maxsize=32)
-def _x_weights(geom: StripGeometry) -> np.ndarray:
-    """Read-only trapezoid weights for int_{-Lx}^{Lx} exp(2bx) *
-    (periodic fn) dx, computed once per geometry."""
-    w = geom.dx * np.exp(2.0 * geom.b * geom.x_grid())
-    w[0] = geom.dx * math.cosh(2.0 * geom.b * geom.Lx)
-    w.setflags(write=False)  # shared through the cache
-    return w
-
-
-@lru_cache(maxsize=32)
-def _sup_weights(geom: StripGeometry) -> np.ndarray:
-    """Read-only weight exp(bx) of the weighted sup on the x grid,
-    computed once per geometry."""
-    w = np.exp(geom.b * geom.x_grid())
-    w.setflags(write=False)  # shared through the cache
-    return w
 
 
 def _modes(u: Field) -> np.ndarray:
@@ -65,7 +43,7 @@ def _weighted_density(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,
     nj = min(fa.shape[1], ga.shape[1])
     prod = fa[:, :nj] * ga[:, :nj]
     y_sum = prod @ geom.eigenvalues()[:nj] if dy else np.sum(prod, axis=1)
-    return _x_weights(geom) * y_sum
+    return _band(geom).w_x * y_sum
 
 
 def _weighted_pairing(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,
@@ -90,7 +68,7 @@ def weighted_dy_sq(u: Field) -> float:
 
 def weighted_sup(u: Field) -> float:
     """Grid maximum of |exp(bx) u|."""
-    return float(np.max(np.abs(_sup_weights(u.geometry)[:, None] * u.values)))
+    return float(np.max(np.abs(_band(u.geometry).w_sup[:, None] * u.values)))
 
 
 def tail_mass(u: Field) -> float:
@@ -101,7 +79,13 @@ def tail_mass(u: Field) -> float:
     """
     geom, a = u.geometry, _modes(u)
     density = _weighted_density(geom, a, a)
-    total = float(np.sum(density))
+    return _tail_fraction(geom, density, float(np.sum(density)))
+
+
+def _tail_fraction(geom: StripGeometry, density: np.ndarray,
+                   total: float) -> float:
+    """The share of the outer x-bands in a weighted density
+    (:func:`_weighted_density`) whose sum is total."""
     if total == 0.0:
         return 0.0
     edge = (1.0 - 2.0 * TAIL_BAND_FRACTION) * geom.Lx
@@ -129,16 +113,21 @@ class NormSample:
     tail: float
 
 
+# the norms a TimeSeries holds per sample: every field but t
+NORM_COLUMNS = tuple(f.name for f in fields(NormSample))[1:]
+
+
 def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
     """The diagnostic record of one field, given its squared L2 norm and
     the dissipation accumulated so far."""
     geom, a, ax = u.geometry, _modes(u), _modes(u.dx())
-    w_l2 = _weighted_pairing(geom, a, a)
+    density = _weighted_density(geom, a, a)
+    w_l2 = float(np.sum(density))
     w_h1 = (w_l2 + _weighted_pairing(geom, ax, ax)
             + _weighted_pairing(geom, a, a, dy=True))
     return NormSample(
         t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
-        sup_w=weighted_sup(u), tail=tail_mass(u),
+        sup_w=weighted_sup(u), tail=_tail_fraction(geom, density, w_l2),
     )
 
 

@@ -9,11 +9,12 @@ implied by conjugate symmetry) and w_j the orthonormal Dirichlet sine
 modes.  Real-valuedness and the Dirichlet trace are enforced by the
 representation itself.  The one transform between coefficients and grid
 samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
-serves both the views of a Field and the stepper's dealiased product.
-The x FFTs are numpy's, which zero-pad inside the transform and write
-into given arrays.  The dealiased product reuses scratch arrays held
-by its band, which is shared through a cache: that is safe from one
-call to the next, but not across threads.
+serves both the views of a Field and the stepper's dealiased product,
+and holds every other read-only table of its geometry.  The x FFTs are
+numpy's, which zero-pad inside the transform and write into given
+arrays.  The dealiased product reuses scratch arrays held by its band,
+which is shared through a cache: that is safe from one call to the
+next, but not across threads.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ TAIL_REJECT_THRESHOLD = 1e-8
 # ---------------------------------------------------------------------------
 # Coefficients <-> grid samples
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _sine_matrix(n: int) -> np.ndarray:
-    """Type-I DST matrix sin(pi*m*j/(n+1)), m, j = 1..n: sine mode j on
-    the interior grid point y_m."""
-    m = np.arange(1, n + 1)
-    return np.sin(np.pi * np.outer(m, m) / (n + 1))
-
 
 def band_shape(geom: StripGeometry) -> tuple[int, int]:
     """(nb, nj): the x slots n < Nx/3 and the y modes j <= 2*Ny/3 kept
@@ -71,22 +64,42 @@ class _Band:
     take every y mode of the full sine matrix and scale after the sine
     product, as a plain type-I DST does: a scale folded into the matrix
     rounds the sampled initial data differently, and long contaminated
-    runs amplify that last bit to 1e-13 in the tail mass.
+    runs amplify that last bit to 1e-13 in the tail mass.  Every table
+    derived from the geometry is built here, once, and frozen.
     """
 
     def __init__(self, geom: StripGeometry):
         nb, nj = band_shape(geom)
         self.geom = geom
         self.nb, self.nj = nb, nj
-        self.sines = _sine_matrix(geom.Ny)
+        k, x = geom.wavenumbers(), geom.x_grid()
+        # type-I DST matrix: sine mode j = 1..Ny on the interior point y_m
+        m = np.arange(1, geom.Ny + 1)
+        self.sines = np.sin(np.pi * np.outer(m, m) / (geom.Ny + 1))
         self.grid_scale = geom.Nx * math.sqrt(2.0 / geom.B)
         self.coeff_scale = math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx)
         self.synthesis = self.grid_scale * self.sines[:, :nj]
         self.analysis = self.sines[:, :nj].T * self.coeff_scale
         # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
-        self.slot = (-0.5j) * geom.wavenumbers()[:nb]
-        for table in (self.sines, self.synthesis, self.analysis, self.slot):
-            table.setflags(write=False)  # shared through the cache
+        self.slot = (-0.5j) * k[:nb]
+        # Parseval weights of ||u||^2, ||u_x||^2 and ||grad u||^2; every
+        # rfft slot but the mean and the Nyquist one stands for a +/- pair
+        mult = np.full(geom.Nx // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        self.w_l2 = 2.0 * geom.Lx * mult[:, None]
+        k2 = k**2
+        self.w_dx = self.w_l2 * k2[:, None]
+        self.w_grad = self.w_l2 * (k2[:, None] + geom.eigenvalues()[None, :])
+        # i*k_n of the spectral x-derivative, zero on the Nyquist slot
+        self.ik = (1j * k)[:, None]
+        self.ik[-1] = 0.0
+        # x weights of the exp(2bx) trapezoid rule and of the exp(bx) sup
+        self.w_x = geom.dx * np.exp(2.0 * geom.b * x)
+        self.w_x[0] = geom.dx * math.cosh(2.0 * geom.b * geom.Lx)
+        self.w_sup = np.exp(geom.b * x)
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)  # shared through the cache
         self._scratch = None
 
     def gather(self, full: np.ndarray) -> np.ndarray:
@@ -154,48 +167,11 @@ def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
     return (irfft(coeffs, n=geom.Nx, axis=0) @ sines.T) * band.grid_scale
 
 
-class ParsevalTables(NamedTuple):
-    """Per-slot weights turning |c[n, j]|**2 into squared L2 norms over
-    the strip: of u (l2), of u_x (dx) and of grad u (grad)."""
-
-    l2: np.ndarray
-    dx: np.ndarray
-    grad: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def parseval_tables(geom: StripGeometry) -> ParsevalTables:
-    """Read-only weight tables for one geometry, computed once."""
-    # every rfft slot but the mean and the Nyquist one stands for a +/- pair
-    mult = np.full(geom.Nx // 2 + 1, 2.0)
-    mult[0] = mult[-1] = 1.0
-    l2 = 2.0 * geom.Lx * mult[:, None]
-    k2 = geom.wavenumbers() ** 2
-    tables = ParsevalTables(
-        l2=l2,
-        dx=l2 * k2[:, None],
-        grad=l2 * (k2[:, None] + geom.eigenvalues()[None, :]),
-    )
-    for t in tables:
-        t.setflags(write=False)
-    return tables
-
-
 def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]:
-    """Squared norms sum(w * |coeffs|**2), one per weight table w from
-    :func:`parseval_tables`, all from one |coeffs|**2."""
+    """Squared norms sum(w * |coeffs|**2), one per Parseval weight table
+    w of :class:`_Band`, all from one |coeffs|**2."""
     power = coeffs.real**2 + coeffs.imag**2
     return tuple(float(np.sum(w * power)) for w in weights)
-
-
-@lru_cache(maxsize=32)
-def _dx_multiplier(geom: StripGeometry) -> np.ndarray:
-    """Read-only (Nx//2+1, 1) column i*k_n of the spectral x-derivative,
-    zero on the Nyquist slot, computed once per geometry."""
-    mult = (1j * geom.wavenumbers())[:, None]
-    mult[-1] = 0.0
-    mult.setflags(write=False)  # shared through the cache
-    return mult
 
 
 class Field:
@@ -252,17 +228,17 @@ class Field:
     def dx(self) -> "Field":
         """Spectral x-derivative; the Nyquist slot is zeroed (it has no
         consistent real representative)."""
-        return Field(self.geometry, self.coeffs * _dx_multiplier(self.geometry))
+        return Field(self.geometry, self.coeffs * _band(self.geometry).ik)
 
     # -- norms -----------------------------------------------------------
 
     def l2sq(self) -> float:
         """Squared L2 norm over the strip, by Parseval."""
-        return parseval_sums(self.coeffs, parseval_tables(self.geometry).l2)[0]
+        return parseval_sums(self.coeffs, _band(self.geometry).w_l2)[0]
 
     def gradsq(self) -> float:
         """Squared L2 norm of the gradient, by Parseval."""
-        return parseval_sums(self.coeffs, parseval_tables(self.geometry).grad)[0]
+        return parseval_sums(self.coeffs, _band(self.geometry).w_grad)[0]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -412,5 +388,5 @@ def make_random_field(geom: StripGeometry, seed: int) -> Field:
     )
     block[0, :] = block[0, :].real  # mean mode of a real field is real
     coeffs[: nx_max + 1, :j_max] = block
-    l2 = parseval_sums(coeffs, parseval_tables(geom).l2)[0]
+    l2 = parseval_sums(coeffs, _band(geom).w_l2)[0]
     return Field(geom, coeffs * float(1.0 / np.sqrt(l2)))

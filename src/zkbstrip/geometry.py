@@ -80,8 +80,8 @@ def eigenvalue(j, B: float):
     j = np.asarray(j)
     if np.any(j < 1):
         raise ValueError(f"mode index must be >= 1, got {j}")
-    if not B > 0:
-        raise ValueError(f"strip width B must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ValueError(f"strip width B must be positive and finite, got {B}")
     lam = (j * np.pi / B) ** 2
     return float(lam) if lam.ndim == 0 else lam
 
@@ -90,8 +90,8 @@ def evaluate_mode(j: int, y, B: float):
     """Evaluate the orthonormal mode w_j(y) = sqrt(2/B)*sin(j*pi*y/B)."""
     if j < 1:
         raise ValueError(f"mode index must be >= 1, got {j}")
-    if not B > 0:
-        raise ValueError(f"strip width B must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise ValueError(f"strip width B must be positive and finite, got {B}")
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > B):
         raise ValueError(f"y must lie in [0, {B}]")

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagnostics import TimeSeries, sample_field
-from .fields import Field, _band, band_shape, parseval_sums, parseval_tables
+from .fields import Field, _band, band_shape, parseval_sums
 from .geometry import StripGeometry
 
 DISPERSION_SANITY_LIMIT = 50.0
@@ -139,9 +139,8 @@ class Stepper:
         sigma = linear_symbol(geom.wavenumbers()[None, : self.band.nb],
                               geom.eigenvalues()[: self.band.nj, None],
                               cfg.convection)
-        pw = parseval_tables(geom)
-        self.w_l2 = self.band.gather(pw.l2)
-        self.w_dx = self.band.gather(pw.dx)
+        self.w_l2 = self.band.gather(self.band.w_l2)
+        self.w_dx = self.band.gather(self.band.w_dx)
 
         h = cfg.dt
         z = h * sigma

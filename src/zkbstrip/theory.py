@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import _modes, _weighted_pairing, weighted_sup
-from .fields import Field, parseval_sums, parseval_tables
+from .fields import Field, _band, parseval_sums
 
 RELATIVE_SLACK = 1e-10
 
@@ -117,8 +117,8 @@ def verify_gn(u: "Field") -> InequalityCheck:
     sq = vals * vals  # numpy's vals**4 is a libm pow call per element
     # the one grid sum of the package: unweighted, on the refined grid
     l4sq = math.sqrt(fine.dy * float(np.sum(fine.dx * sq * sq)))
-    tables = parseval_tables(u.geometry)
-    l2sq, gradsq = parseval_sums(u.coeffs, tables.l2, tables.grad)
+    band = _band(u.geometry)
+    l2sq, gradsq = parseval_sums(u.coeffs, band.w_l2, band.w_grad)
     rhs = 2.0 * math.sqrt(l2sq) * math.sqrt(gradsq)
     return InequalityCheck(lhs=l4sq, rhs=rhs, holds=_holds(l4sq, rhs))
 

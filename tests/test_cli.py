@@ -547,7 +547,7 @@ class TestUsageErrors:
             return real_experiment(*args)
 
         monkeypatch.setattr(cli, "cdep_experiment", spy)
-        doc = base_doc(solver={"t_end": 0.1})
+        doc = base_doc(solver={"t_end": 0.2})
         blocker = tmp_path / "afile"
         blocker.write_text("")
         code = main([*command, "--config", write_config(tmp_path, doc),
@@ -620,6 +620,63 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()  # rejected before any cell ran
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        cfg_path = write_config(tmp_path, base_doc(solver={"t_end": 0.2}))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg_path, "--B", str(math.pi),
+                     "--amps", "0.5", "--out", str(out), "--workers", workers])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--workers" in err
+        assert not out.exists()  # rejected before any cell ran
+
+    def test_pool_no_larger_than_the_cell_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size and maps
+            serially, so no worker process is started."""
+
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        cfg_path = write_config(tmp_path, base_doc(solver={"t_end": 0.2}))
+        for amps, out in (("0.5,0.9", "two"), ("0.5", "one")):
+            code = main(["sweep", "--config", cfg_path, "--B", str(math.pi),
+                         "--amps", amps, "--out", str(tmp_path / out),
+                         "--workers", "64"])
+            assert code == 0
+        assert sizes == [2]  # and one cell runs without a pool
+
+    def test_fit_window_from_template(self, tmp_path, capsys):
+        # the cell's fit uses the template's experiment.fit_window, as
+        # fit-decay on the cell directory does
+        doc = base_doc(geometry={"Nx": 64, "Ny": 8},
+                       solver={"t_end": 0.05, "output_every": 1},
+                       experiment={"fit_window": [0, 0.03]})
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        main(["sweep", "--config", cfg_path, "--B", str(math.pi),
+              "--amps", "0.9", "--out", str(out)])
+        row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        capsys.readouterr()
+        main(["fit-decay", "--out", str(out / "cell_B0_a0")])
+        report = json.loads(capsys.readouterr().out)
+        assert report["window"] == [0.0, 0.03]
+        assert row[7] == fmt(report["fitted_rate"])
 
     def test_parallel_workers_match_serial(self, tmp_path):
         doc = base_doc(solver={"t_end": 0.5, "output_every": 10})

@@ -23,7 +23,7 @@ from zkbstrip import (
     weighted_inner,
 )
 from zkbstrip.diagnostics import weighted_dy_sq, weighted_sup
-from zkbstrip.fields import _band, _sine_matrix, to_grid
+from zkbstrip.fields import _band, to_grid
 
 
 def gaussian_mode_field(geom, amplitude=1.0, s=1.0, j=1):
@@ -211,7 +211,7 @@ class TestModeSpacePairing:
         assert modes.shape == (g.Nx, n_live)
         assert np.array_equal(modes, full[:, :n_live])
         assert np.all(full[:, n_live:] == 0.0)
-        grid = (irfft(c, n=g.Nx, axis=0) @ _sine_matrix(g.Ny).T) * (
+        grid = (irfft(c, n=g.Nx, axis=0) @ _band(g).sines.T) * (
             g.Nx * math.sqrt(2.0 / g.B))
         assert np.array_equal(to_grid(c, g), grid)
         assert np.array_equal(Field(g, c).values, grid)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from zkbstrip import StripGeometry, eigenvalue, evaluate_mode
-from zkbstrip.fields import parseval_sums, parseval_tables, to_grid, to_spectral
+from zkbstrip.fields import _band, parseval_sums, to_grid, to_spectral
 
 from conftest import (
     coupling_coefficient,
@@ -38,6 +38,8 @@ class TestEigenvalue:
             eigenvalue(1, -1.0)
         with pytest.raises(ValueError):
             eigenvalue(1, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalue(1, np.inf)
 
 
 class TestEvaluateMode:
@@ -66,6 +68,8 @@ class TestEvaluateMode:
             evaluate_mode(1, 2.1, 2.0)
         with pytest.raises(ValueError):
             evaluate_mode(0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_mode(1, 0.5, np.inf)
 
 
 class TestBasis:
@@ -123,7 +127,8 @@ class TestSineTransform:
             for _ in range(5):
                 v = rng.standard_normal((8, Ny))
                 c = to_spectral(v, g)
-                tables = parseval_tables(g)
+                band = _band(g)
+                tables = (band.w_l2, band.w_dx, band.w_grad)
                 sums = parseval_sums(c, *tables)
                 assert sums[0] == pytest.approx(g.dx * g.dy * np.sum(v**2),
                                                 rel=1e-10)

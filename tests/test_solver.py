@@ -303,6 +303,20 @@ class TestInPlaceStep:
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
         assert Stepper(g, SolverConfig(dt=1e-3, t_end=1.0)).band is _band(g)
 
+    def test_band_tables_are_read_only(self):
+        # every table of the band is shared by all users of its geometry
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
+        band = _band(g)
+        band.rhs(band.gather(random_coeffs(g, seed=1)))
+        tables = {name: t for name, t in vars(band).items()
+                  if isinstance(t, np.ndarray)}
+        assert {"sines", "synthesis", "analysis", "slot", "w_l2", "w_dx",
+                "w_grad", "ik", "w_x", "w_sup"} <= tables.keys()
+        for name, t in tables.items():
+            assert not t.flags.writeable, name
+            with pytest.raises(ValueError):
+                t.flat[0] = 1.0
+
     def test_transforms_between_steps_leave_run_unchanged(self):
         # the stepper shares its band with to_grid and Field.values;
         # neither may touch the product's scratch arrays
