@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import datetime
 import hashlib
+import io
 import json
 import math
 import sys
@@ -641,19 +643,22 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_cell(template_json, B, amp, d) for B, amp, d in cells]
 
-    header = ("B,amp_frac,u0_norm,threshold,within_threshold,chi,"
-              "status,fitted_rate,compliant")
-    lines = [header]
+    # the csv module quotes an error status that holds commas
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["B", "amp_frac", "u0_norm", "threshold",
+                     "within_threshold", "chi", "status", "fitted_rate",
+                     "compliant"])
     for r in rows:
-        lines.append(",".join([
+        writer.writerow([
             fmt(r["B"]), fmt(r["amp_frac"]), fmt(r["u0_norm"]),
             fmt(r["threshold"]), str(r["within_threshold"]).lower(),
             fmt(r["chi"]), r["status"],
             fmt(r["fitted_rate"]) if math.isfinite(r["fitted_rate"]) else "nan",
             r["compliant"],
-        ]))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+        ])
+    (out / "summary.csv").write_text(text.getvalue(), encoding="utf-8")
+    print(text.getvalue(), end="")
     failed = any(r["compliant"] == "fail" for r in rows)
     return EXIT_USAGE if failed else EXIT_OK
 

@@ -9,12 +9,13 @@ implied by conjugate symmetry) and w_j the orthonormal Dirichlet sine
 modes.  Real-valuedness and the Dirichlet trace are enforced by the
 representation itself.  The one transform between coefficients and grid
 samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
-serves both the views of a Field and the stepper's dealiased product,
+serves both the views of a Field and the stepper's dealiased square,
 and holds every other read-only table of its geometry.  The x FFTs are
-numpy's, which zero-pad inside the transform and write into given
-arrays.  The dealiased product reuses scratch arrays held by its band,
-which is shared through a cache: that is safe from one call to the
-next, but not across threads.
+numpy's, which write into given arrays.  The dealiased square copies
+its band into a zero-tailed padded buffer before the x irfft (numpy's
+own zero-padding inside the transform is slower) and returns one of
+its scratch arrays; its band is shared through a cache, so that is
+safe from one call to the next, but not across threads.
 """
 
 from __future__ import annotations
@@ -51,15 +52,18 @@ class _Band:
 
     Only the first nj y modes and nb x slots are ever non-zero in a run,
     so the stepper keeps just those.  The grid is reached by an x irfft
-    of the nj rows (which zero-pads the missing slots) followed by one
-    (Ny, nj) sine product in y; the way back is one (nj, Ny) sine
-    product and an x rfft of the nj rows.  Nx and the normalisation of
-    the orthonormal modes make up one scale factor each way; the
-    stepper's synthesis and analysis matrices carry them, and the
-    derivative of the product sits in one per-slot factor.  The product
+    of the nj rows, copied into the leading slots of a zero-tailed
+    padded buffer, followed by one (Ny, nj) sine product in y; the way
+    back is one (nj, Ny) sine product and an x rfft of the nj rows.  Nx
+    and the normalisation of the orthonormal modes make up one scale
+    factor each way; the stepper's synthesis and analysis matrices carry
+    them.  The x derivative of the nonlinear term sits in one per-slot
+    factor, ``slot``, which the stepper folds into its ETDRK4 weights,
+    so :meth:`square` returns the band spectrum of u**2 itself.  It
     writes its x samples, grid values and spectrum into scratch arrays
     made on its first call, so a band that only serves the transforms
-    below never holds them.  One band per geometry also serves
+    below never holds them; the rfft output is also the padded irfft
+    input of the next call.  One band per geometry also serves
     :func:`to_grid`, :func:`to_spectral` and :meth:`x_modes`, which
     take every y mode of the full sine matrix and scale after the sine
     product, as a plain type-I DST does: a scale folded into the matrix
@@ -120,21 +124,27 @@ class _Band:
         that holds a non-zero coefficient."""
         return irfft(_leading_modes(full), n=self.geom.Nx, axis=0) * self.geom.Nx
 
-    def rhs(self, a: np.ndarray) -> np.ndarray:
-        """-(u u_x)^hat on the band, from the band coefficients of u, as
-        a new array."""
+    def square(self, a: np.ndarray) -> np.ndarray:
+        """(u**2)^ on the band, from the band coefficients a of u, in a
+        scratch array that the next call overwrites."""
         g = self.geom
         if self._scratch is None:
             self._scratch = (np.empty((self.nj, g.Nx)),  # x samples, each way
                              np.empty((g.Ny, g.Nx)),  # u, then u^2
-                             np.empty((self.nj, g.Nx // 2 + 1), dtype=complex))
-        xs, u, spec = self._scratch
-        irfft(a, n=g.Nx, axis=1, out=xs)
+                             np.empty((self.nj, g.Nx // 2 + 1), dtype=complex),
+                             np.empty((self.nj, self.nb), dtype=complex))
+        xs, u, spec, out = self._scratch
+        spec[:, : self.nb] = a  # the padded irfft input, then the rfft output
+        spec[:, self.nb :] = 0.0
+        irfft(spec, n=g.Nx, axis=1, out=xs)
         np.matmul(self.synthesis, xs, out=u)
         np.multiply(u, u, out=u)
         np.matmul(self.analysis, u, out=xs)
         rfft(xs, axis=1, out=spec)
-        return spec[:, : self.nb] * self.slot
+        # contiguous for the stepper: numpy's ufuncs copy a strided 2-D
+        # operand into a buffer of its full size
+        np.copyto(out, spec[:, : self.nb])
+        return out
 
 
 @lru_cache(maxsize=32)
@@ -169,9 +179,37 @@ def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
 
 def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]:
     """Squared norms sum(w * |coeffs|**2), one per Parseval weight table
-    w of :class:`_Band`, all from one |coeffs|**2."""
-    power = coeffs.real**2 + coeffs.imag**2
-    return tuple(float(np.sum(w * power)) for w in weights)
+    w of :class:`_Band` or of the stepper, each |coeffs|**2 made once.
+
+    A table of length 1 along one axis (y: (n, 1) in the full layout,
+    (1, nb) in the band one) weights the power summed along that axis,
+    one einsum over the float view; any other table weights the power
+    itself.
+    """
+    flat = np.ascontiguousarray(coeffs).view(np.float64)
+    summed, power = {}, None
+    sums = []
+    for w in weights:
+        if 1 in w.shape:
+            axis = w.shape.index(1)
+            if axis not in summed:
+                summed[axis] = _summed_power(flat, axis)
+            sums.append(float(np.dot(w.ravel(), summed[axis])))
+        else:
+            if power is None:
+                power = coeffs.real**2 + coeffs.imag**2
+            sums.append(float(np.sum(w * power)))
+    return tuple(sums)
+
+
+def _summed_power(flat: np.ndarray, axis: int) -> np.ndarray:
+    """|c|**2 summed along one axis of a 2-D complex array c, from its
+    float view flat (real and imaginary parts interleaved along the last
+    axis)."""
+    if axis == 1:
+        return np.einsum("ij,ij->i", flat, flat)
+    parts = np.einsum("ij,ij->j", flat, flat)
+    return parts[0::2] + parts[1::2]
 
 
 class Field:

@@ -16,13 +16,16 @@ pseudospectrally as 0.5*d/dx(u^2) with 2/3-rule dealiasing, which keeps
 the discrete pairing (u*u_x, u) at exact zero.  The stepper's state holds
 only the coefficients inside the 2/3 band, y modes by x slots with x
 contiguous; the full (Nx//2+1, Ny) layout of a Field is rebuilt only for
-output.
+output.  The factor -0.5*i*k of the derivative is folded into the ETDRK4
+weights once, so each stage takes the band spectrum of u^2 as it comes
+from the transforms, and a step forms its stages in four buffers of the
+stepper and allocates only its result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -129,18 +132,22 @@ class Stepper:
     """Precomputed coefficients and transforms for one (geometry, config).
 
     It steps the band array of :class:`fields._Band`: every coefficient
-    table below has its (nj, nb) shape.
+    table below has its (nj, nb) shape, or (1, nb) for the norm weights.
+    The weights M, f1, f2, f3 carry the derivative factor ``band.slot``.
+    The tables are frozen, since the stepper is shared through a cache;
+    its stage buffers make a step safe from one call to the next, but
+    not across threads.
     """
 
     def __init__(self, geom: StripGeometry, cfg: SolverConfig):
         self.geom = geom
         self.cfg = cfg
-        self.band = _band(geom)
-        sigma = linear_symbol(geom.wavenumbers()[None, : self.band.nb],
-                              geom.eigenvalues()[: self.band.nj, None],
+        self.band = band = _band(geom)
+        sigma = linear_symbol(geom.wavenumbers()[None, : band.nb],
+                              geom.eigenvalues()[: band.nj, None],
                               cfg.convection)
-        self.w_l2 = self.band.gather(self.band.w_l2)
-        self.w_dx = self.band.gather(self.band.w_dx)
+        self.w_l2 = band.gather(band.w_l2)
+        self.w_dx = band.gather(band.w_dx)
 
         h = cfg.dt
         z = h * sigma
@@ -148,46 +155,60 @@ class Stepper:
         self.E2 = np.exp(z / 2.0)
         p1h, _, _ = _phi123(z / 2.0)
         p1, p2, p3 = _phi123(z)
-        self.M = (h / 2.0) * p1h
-        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-        self.f2 = 2.0 * h * (p2 - 2.0 * p3)  # weight of na + nb
-        self.f3 = h * (4.0 * p3 - p2)
+        self.M = (h / 2.0) * p1h * band.slot
+        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3) * band.slot
+        self.f2 = 2.0 * h * (p2 - 2.0 * p3) * band.slot  # weight of na and nb
+        self.f3 = h * (4.0 * p3 - p2) * band.slot
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)  # shared through the cache
+        self._stages = tuple(np.empty_like(self.E) for _ in range(4))
 
     def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
-        return self.band.rhs(c)
+        """(u^2)^ on the band, in scratch that the next call overwrites;
+        the weights turn it into -(u u_x)^hat."""
+        return self.band.square(c)
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
             return self.E * c
-        # Each stage sum is formed in place with the operands in the order
-        # of the plain expression
-        #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(2*nb - n0),
-        #   E*c + f1*n0 + f2*(na + nb) + f3*nc,
-        # so the result is the same to the bit: the complex product is not
-        # bitwise commutative, the sum is.
-        e2c = self.E2 * c
-        n0 = self.nonlinear_rhs(c)
-        a = np.multiply(self.M, n0)
+        # Each stage sum of
+        #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(nb*2 - n0),
+        #   E*c + f1*n0 + f2*na + f2*nb + f3*nc
+        # is formed in place, left to right.  A product n is the band's
+        # scratch, used up before the next one; only n0 is kept.
+        e2c, n0, a, tmp = self._stages
+        out = np.multiply(self.E, c)
+        np.multiply(self.E2, c, out=e2c)
+        n = self.nonlinear_rhs(c)
+        np.copyto(n0, n)
+        out += np.multiply(self.f1, n, out=n)
+        np.multiply(self.M, n0, out=a)
         a += e2c
-        na = self.nonlinear_rhs(a)
-        b = np.multiply(self.M, na)
+        n = self.nonlinear_rhs(a)
+        b = np.multiply(self.M, n, out=tmp)
         b += e2c
-        nb = self.nonlinear_rhs(b)
-        d = np.multiply(2.0, nb, out=b)
-        d -= n0
+        out += np.multiply(self.f2, n, out=n)
+        n = self.nonlinear_rhs(b)
+        out += np.multiply(self.f2, n, out=tmp)
+        n *= 2.0
+        n -= n0
         cc = np.multiply(self.E2, a, out=a)
-        cc += np.multiply(self.M, d, out=d)
-        nc = self.nonlinear_rhs(cc)
-        out = np.multiply(self.E, c, out=e2c)
-        out += np.multiply(self.f1, n0, out=n0)
-        na += nb
-        out += np.multiply(self.f2, na, out=na)
-        out += np.multiply(self.f3, nc, out=nc)
+        cc += np.multiply(self.M, n, out=n)
+        n = self.nonlinear_rhs(cc)
+        out += np.multiply(self.f3, n, out=n)
         return out
 
 
-@lru_cache(maxsize=8)
 def _cached_stepper(geom: StripGeometry, cfg: SolverConfig) -> Stepper:
+    """The stepper of runs on geom with cfg.  t_end and the sampling do
+    not enter a step, so runs that differ only in those share one
+    stepper: its tables and its stage buffers."""
+    return _stepper(geom, replace(cfg, t_end=0.0, output_every=1))
+
+
+@lru_cache(maxsize=8)
+def _stepper(geom: StripGeometry, cfg: SolverConfig) -> Stepper:
     return Stepper(geom, cfg)
 
 

@@ -70,7 +70,8 @@ def coupling_coefficient(i: int, j: int, k: int, B: float) -> float:
 def nonlinear_term(u):
     """u*u_x of the 2/3 band projection of u, by the package's band product."""
     band = _band(u.geometry)
-    return Field(u.geometry, band.scatter(-band.rhs(band.gather(u.coeffs))))
+    square = band.square(band.gather(u.coeffs))
+    return Field(u.geometry, band.scatter(-band.slot * square))
 
 
 def final_field(u0, cfg):

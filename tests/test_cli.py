@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -677,6 +679,22 @@ class TestSweepCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["window"] == [0.0, 0.03]
         assert row[7] == fmt(report["fitted_rate"])
+
+    def test_error_status_with_commas_is_quoted(self, tmp_path, capsys):
+        # 11 samples to t = 0.1, 6 of them in the last-half-clean window
+        doc = base_doc(solver={"t_end": 0.1})
+        cfg_path = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg_path, "--B", str(math.pi),
+                     "--amps", "0.5", "--out", str(out), "--workers", "1"])
+        assert code == 1  # the within-threshold cell failed
+        text = (out / "summary.csv").read_text()
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) == 2
+        assert all(len(row) == 9 for row in rows)
+        assert rows[1][6] == "error: need >= 10 samples in [0.05, 0.1], found 6"
+        assert rows[1][7:] == ["nan", "fail"]
 
     def test_parallel_workers_match_serial(self, tmp_path):
         doc = base_doc(solver={"t_end": 0.5, "output_every": 10})

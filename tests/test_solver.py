@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from zkbstrip import (
     run,
     weighted_inner,
 )
-from zkbstrip.fields import _band, to_grid
+from zkbstrip.fields import _Band, _band, to_grid
 from zkbstrip.solver import (
     DISPERSION_SANITY_LIMIT,
     Stepper,
+    _cached_stepper,
     _phi123,
     check_dispersion_sanity,
 )
@@ -232,24 +235,32 @@ def reference_etdrk4_step(c: np.ndarray, g: StripGeometry, dt: float) -> np.ndar
             + 2.0 * dt * (p2 - 2.0 * p3) * (na + nb) + dt * (4.0 * p3 - p2) * nc)
 
 
-@pytest.mark.parametrize("Nx,Ny", [(4, 1), (4, 2), (4, 3), (10, 7), (48, 12)])
+@pytest.mark.parametrize("Nx,Ny", [(4, 1), (4, 2), (4, 3), (10, 7), (48, 12),
+                                   (1024, 32)])
 class TestBandEquivalence:
     """The band-only stepper against the full-layout transforms and an
-    explicit 2/3 mask, on degenerate grids and on an Nx that 3 does not
-    divide."""
+    explicit 2/3 mask, on degenerate grids, on an Nx that 3 does not
+    divide and on the paper-ref grid."""
 
     @staticmethod
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @staticmethod
+    def geometry(Nx, Ny):
+        # at 1024 points only paper-ref's Lx = 30 passes the dispersion
+        # guard with dt = 1e-3
+        return StripGeometry(B=np.pi, Lx=30.0 if Nx == 1024 else np.pi,
+                             Nx=Nx, Ny=Ny)
+
     def test_nonlinear_term(self, Nx, Ny):
-        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
+        g = self.geometry(Nx, Ny)
         c = random_coeffs(g, seed=Nx + Ny)
         got = nonlinear_term(Field(g, c)).coeffs
         assert self.close(got, -reference_rhs(c, g))
 
     def test_one_step_run(self, Nx, Ny):
-        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny)
+        g = self.geometry(Nx, Ny)
         c = random_coeffs(g, seed=Nx * Ny)
         cfg = SolverConfig(dt=1e-3, t_end=1e-3)
         got = final_field(Field(g, c), cfg).coeffs
@@ -257,22 +268,25 @@ class TestBandEquivalence:
 
 
 def allocating_etdrk4_step(st: Stepper, c: np.ndarray) -> np.ndarray:
-    """One ETDRK4 step as the plain allocating expression on the band."""
-    rhs = st.band.rhs
+    """One ETDRK4 step as the plain allocating expression on the band, in
+    the stepper's operand order, with the derivative in its weights."""
+    def square(v):
+        return st.band.square(v).copy()
+
     e2c = st.E2 * c
-    n0 = rhs(c)
+    n0 = square(c)
     a = e2c + st.M * n0
-    na = rhs(a)
+    na = square(a)
     b = e2c + st.M * na
-    nb = rhs(b)
-    cc = st.E2 * a + st.M * (2.0 * nb - n0)
-    nc = rhs(cc)
-    return st.E * c + st.f1 * n0 + st.f2 * (na + nb) + st.f3 * nc
+    nb = square(b)
+    cc = st.E2 * a + st.M * (nb * 2.0 - n0)
+    nc = square(cc)
+    return st.E * c + st.f1 * n0 + st.f2 * na + st.f2 * nb + st.f3 * nc
 
 
 class TestInPlaceStep:
-    """The stepper forms its stage sums in place and the band product
-    reuses scratch arrays; neither may change a bit of the result."""
+    """The stepper forms its stage sums in stage buffers and the band
+    square reuses scratch arrays; neither may change a bit of the result."""
 
     @pytest.mark.parametrize("Lx,Nx,Ny", [
         (30.0, 1024, 32),
@@ -289,15 +303,46 @@ class TestInPlaceStep:
             want = allocating_etdrk4_step(st, want)
             assert np.array_equal(c, want)
 
-    def test_rhs_results_do_not_alias(self):
+    def test_step_results_do_not_alias(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
-        band = _band(g)
-        c = band.gather(random_coeffs(g, seed=1))
-        n0 = band.rhs(c)
-        kept = n0.copy()
-        for seed in (2, 3, 4):
-            band.rhs(band.gather(random_coeffs(g, seed)))
-        assert np.array_equal(n0, kept)
+        st = Stepper(g, SolverConfig(dt=1e-3, t_end=1.0))
+        c = st.step_erk4(st.band.gather(0.1 * random_coeffs(g, seed=1)))
+        kept = c.copy()
+        later = st.step_erk4(c)
+        assert np.array_equal(c, kept)
+        st.step_erk4(later)
+        assert np.array_equal(c, kept)
+        assert not np.shares_memory(c, later)
+
+    def test_square_after_another_matches_fresh_band(self):
+        # the padded tail of the scratch is zero again on every call
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        band = _Band(g)
+        band.square(band.gather(random_coeffs(g, seed=1)))
+        second = band.gather(random_coeffs(g, seed=2))
+        assert np.array_equal(band.square(second), _Band(g).square(second))
+
+    def test_step_allocates_only_its_result(self):
+        g = StripGeometry(B=np.pi, Lx=30.0, Nx=1024, Ny=32)
+        st = Stepper(g, SolverConfig(dt=1e-3, t_end=1.0))
+        c = st.band.gather(0.1 * random_coeffs(g, seed=3))
+        c = st.step_erk4(st.step_erk4(c))  # scratch arrays, FFT plans
+        tracemalloc.start()
+        try:
+            out = st.step_erk4(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
+
+    def test_runs_differing_in_t_end_share_a_stepper(self):
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        st = _cached_stepper(g, SolverConfig(dt=1e-3, t_end=1.0))
+        assert st is _cached_stepper(
+            g, SolverConfig(dt=1e-3, t_end=1e-3, output_every=7))
+        assert st is not _cached_stepper(g, SolverConfig(dt=2e-3, t_end=1.0))
+        assert st is not _cached_stepper(
+            g, SolverConfig(dt=1e-3, t_end=1.0, convection=1))
 
     def test_stepper_steps_the_transform_band(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
@@ -307,11 +352,25 @@ class TestInPlaceStep:
         # every table of the band is shared by all users of its geometry
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         band = _band(g)
-        band.rhs(band.gather(random_coeffs(g, seed=1)))
+        band.square(band.gather(random_coeffs(g, seed=1)))
         tables = {name: t for name, t in vars(band).items()
                   if isinstance(t, np.ndarray)}
         assert {"sines", "synthesis", "analysis", "slot", "w_l2", "w_dx",
                 "w_grad", "ik", "w_x", "w_sup"} <= tables.keys()
+        for name, t in tables.items():
+            assert not t.flags.writeable, name
+            with pytest.raises(ValueError):
+                t.flat[0] = 1.0
+
+    def test_stepper_tables_are_read_only(self):
+        # _cached_stepper shares one stepper between runs
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
+        st = Stepper(g, SolverConfig(dt=1e-3, t_end=1.0))
+        st.step_erk4(st.band.gather(random_coeffs(g, seed=1)))
+        tables = {name: t for name, t in vars(st).items()
+                  if isinstance(t, np.ndarray)}
+        assert tables.keys() == {"E", "E2", "M", "f1", "f2", "f3",
+                                 "w_l2", "w_dx"}
         for name, t in tables.items():
             assert not t.flags.writeable, name
             with pytest.raises(ValueError):
