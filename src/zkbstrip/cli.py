@@ -18,13 +18,15 @@ import argparse
 import concurrent.futures
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -80,27 +82,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.thresholds not in ("regular", "weak"):
-            raise ConfigError(
-                f"type mismatch at experiment.thresholds: expected "
-                f"'regular' or 'weak', got {self.thresholds!r}"
-            )
-        w = self.fit_window
-        if w != "last-half-clean":
-            if not isinstance(w, (list, tuple)) or len(w) != 2:
-                raise ConfigError(
-                    "type mismatch at experiment.fit_window: expected "
-                    "'last-half-clean' or [t0, t1]"
-                )
-            t0, t1 = (_number({f"[{i}]": v}, "experiment.fit_window", f"[{i}]")
-                      for i, v in enumerate(w))
-            if not t0 < t1:
-                raise ConfigError(
-                    f"invalid value at experiment.fit_window: expected "
-                    f"t0 < t1, got {list(w)}")
+            raise ValueError(f"thresholds must be 'regular' or 'weak', "
+                             f"got {self.thresholds!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config: each field but raw is a block of the document,
+    whose keys are the fields of its class (see :func:`_block`)."""
+
     geometry: StripGeometry
     solver: SolverConfig
     initial: InitialData
@@ -108,59 +98,142 @@ class RunConfig:
     raw: dict
 
 
-_GEOMETRY_KEYS = {"B", "Lx", "Nx", "Ny", "b"}
-# Retired solver keys and the one value each still accepts, so older
-# configs and stored manifests keep parsing
-_RETIRED_SOLVER_VALUES = {"scheme": "exponential-RK4", "dealias": True}
-_SOLVER_KEYS = {
-    "dt", "t_end", "convection", "output_every", "nonlinear", "diss_per_step",
-} | _RETIRED_SOLVER_VALUES.keys()
-_INITIAL_KEYS = {"kind", "amplitude", "x0", "s", "j", "k", "values",
-                 "target_l2_norm"}
-_EXPERIMENT_KEYS = {"fit_window", "thresholds"}
-_TOP_KEYS = {"schema", "geometry", "solver", "initial", "experiment"}
-
-
-def _require(block: dict, path: str, key: str):
-    if key not in block:
-        raise ConfigError(f"missing required key: {path}{key}")
-    return block[key]
-
-
-def _check_keys(block: dict, allowed: set, path: str):
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {path}{key}")
-
-
-def _number(block: dict, path: str, key: str, default=None, required=False):
-    if key not in block:
-        if required:
-            raise ConfigError(f"missing required key: {path}{key}")
-        return default
-    v = block[key]
+def _number(v, path: str):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(
-            f"type mismatch at {path}{key}: expected number, got {type(v).__name__}"
-        )
+            f"type mismatch at {path}: expected number, got {type(v).__name__}")
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(
-            f"invalid value at {path}{key}: expected finite number, got {v}")
+            f"invalid value at {path}: expected finite number, got {v}")
     return v
 
 
-def _integer(block: dict, path: str, key: str, default=None, required=False) -> int:
-    v = _number(block, path, key, default=default, required=required)
+def _integer(v, path: str) -> int:
+    v = _number(v, path)
     if int(v) != v:
-        raise ConfigError(f"type mismatch at {path}{key}: expected integer, got {v}")
+        raise ConfigError(f"type mismatch at {path}: expected integer, got {v}")
     return int(v)
+
+
+def _boolean(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"type mismatch at {path}: expected boolean")
+    return v
+
+
+def _string(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"type mismatch at {path}: expected string")
+    return v
+
+
+def _weight_rate(v, path: str):
+    if v == "auto":
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(
+            f'type mismatch at {path}: expected number or "auto", got {v!r}')
+    return float(_number(v, path))
+
+
+def _samples(v, path: str):
+    if v is None:
+        return v
+    try:
+        values = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"invalid value at {path}: expected a rectangular array of "
+            f"numbers ({exc})") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"invalid value at {path}: expected finite numbers")
+    return values
+
+
+def _fit_window(w, path: str):
+    if w == "last-half-clean":
+        return w
+    if not isinstance(w, list) or len(w) != 2:
+        raise ConfigError(
+            f"type mismatch at {path}: expected 'last-half-clean' or [t0, t1]")
+    t0, t1 = (_number(v, f"{path}[{i}]") for i, v in enumerate(w))
+    if not t0 < t1:
+        raise ConfigError(
+            f"invalid value at {path}: expected t0 < t1, got {w}")
+    return w
+
+
+def _retired(only):
+    """The check of a retired key: the one value the code implements."""
+    def check(v, path: str):
+        # type() keeps true distinct from 1
+        if type(v) is not type(only) or v != only:
+            raise ConfigError(f"invalid value at {path}: expected "
+                              f"{json.dumps(only)}, got {json.dumps(v)}")
+        return v
+    return check
+
+
+# The check of a field by its annotation; None is only ever a default
+_CHECKS = {float: _number, float | None: _number, int: _integer,
+           bool: _boolean, str: _string}
+# Keys checked in place of their field's annotation.  The retired solver
+# keys are no field: they are checked and dropped, so older configs and
+# stored manifests keep parsing (the dissipation is accumulated at every
+# step, whatever diss_per_step says)
+_OWN_CHECKS = {
+    "geometry.b": _weight_rate,
+    "initial.values": _samples,
+    "experiment.fit_window": _fit_window,
+    "solver.scheme": _retired("exponential-RK4"),
+    "solver.dealias": _retired(True),
+    "solver.diss_per_step": _boolean,
+}
+_BLOCKS = {name: cls for name, cls in get_type_hints(RunConfig).items()
+           if name != "raw"}
+_annotations = functools.cache(get_type_hints)  # evaluating them is slow
+
+
+def _block(doc: dict, name: str, cls) -> dict:
+    """The checked keyword arguments of cls from the block doc[name].
+
+    The block's keys are the fields of cls.  Each value is checked by
+    its entry in _OWN_CHECKS, or else by its field's annotation.  A
+    missing key takes the field's default; a field with no default is
+    required, and so is a block that has one.
+    """
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    if name not in doc and required:
+        raise ConfigError(f"missing required key: {name}")
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"type mismatch at {name}: expected object")
+    annotations = _annotations(cls)
+    kwargs = {}
+    for key, value in block.items():
+        path = f"{name}.{key}"
+        if path in _OWN_CHECKS:
+            value = _OWN_CHECKS[path](value, path)
+        elif key in annotations:
+            value = _CHECKS[annotations[key]](value, path)
+        else:
+            raise ConfigError(f"unknown key: {path}")
+        if key in annotations:
+            kwargs[key] = value
+    for key in required:
+        if key not in kwargs:
+            raise ConfigError(f"missing required key: {name}.{key}")
+    return kwargs
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Unknown keys, missing required keys, and type mismatches are rejected
-    with the offending path named.  A weight rate of "auto" resolves to
+    Besides "schema", the document holds one block per field of
+    :class:`RunConfig`, read by :func:`_block`.  Unknown keys, missing
+    required keys, and type mismatches are rejected with the offending
+    path named, and an error of the block's own class as "invalid
+    <block> block".  A weight rate of "auto", its default, resolves to
     the optimal rate for the configured width.
     """
     try:
@@ -169,104 +242,25 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "")
-    schema = _require(doc, "", "schema")
-    if schema != 1:
-        raise ConfigError(f"unsupported schema version: {schema!r}")
+    for key in doc:
+        if key != "schema" and key not in _BLOCKS:
+            raise ConfigError(f"unknown key: {key}")
+    if "schema" not in doc:
+        raise ConfigError("missing required key: schema")
+    if doc["schema"] != 1:
+        raise ConfigError(f"unsupported schema version: {doc['schema']!r}")
 
-    geo = _require(doc, "", "geometry")
-    if not isinstance(geo, dict):
-        raise ConfigError("type mismatch at geometry: expected object")
-    _check_keys(geo, _GEOMETRY_KEYS, "geometry.")
-    B = _number(geo, "geometry.", "B", required=True)
-    Lx = _number(geo, "geometry.", "Lx", required=True)
-    Nx = _integer(geo, "geometry.", "Nx", required=True)
-    Ny = _integer(geo, "geometry.", "Ny", required=True)
-    b_req = geo.get("b", "auto")
-    if b_req == "auto":
-        b = constants_for_width(B).b_star if B > 0 else 0.0
-    elif isinstance(b_req, (int, float)) and not isinstance(b_req, bool):
-        b = float(_number(geo, "geometry.", "b"))
-    else:
-        raise ConfigError(
-            f"type mismatch at geometry.b: expected number or \"auto\", got {b_req!r}"
-        )
-    try:
-        geometry = StripGeometry(B=B, Lx=Lx, Nx=Nx, Ny=Ny, b=b)
-    except ValueError as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
-
-    sol = _require(doc, "", "solver")
-    if not isinstance(sol, dict):
-        raise ConfigError("type mismatch at solver: expected object")
-    _check_keys(sol, _SOLVER_KEYS, "solver.")
-    for key, only in _RETIRED_SOLVER_VALUES.items():
-        # type() keeps true distinct from 1
-        if key in sol and (type(sol[key]) is not type(only) or sol[key] != only):
-            raise ConfigError(
-                f"invalid value at solver.{key}: expected {json.dumps(only)}, "
-                f"got {json.dumps(sol[key])}")
-    # diss_per_step is an ignored boolean, also kept for older configs: the
-    # dissipation is accumulated at every step
-    for key in ("nonlinear", "diss_per_step"):
-        if key in sol and not isinstance(sol[key], bool):
-            raise ConfigError(f"type mismatch at solver.{key}: expected boolean")
-    try:
-        solver = SolverConfig(
-            dt=_number(sol, "solver.", "dt", required=True),
-            t_end=_number(sol, "solver.", "t_end", required=True),
-            convection=_integer(sol, "solver.", "convection", default=0),
-            output_every=_integer(sol, "solver.", "output_every", default=1),
-            nonlinear=sol.get("nonlinear", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver block: {exc}") from exc
-
-    ini = _require(doc, "", "initial")
-    if not isinstance(ini, dict):
-        raise ConfigError("type mismatch at initial: expected object")
-    _check_keys(ini, _INITIAL_KEYS, "initial.")
-    kind = _require(ini, "initial.", "kind")
-    if not isinstance(kind, str):
-        raise ConfigError("type mismatch at initial.kind: expected string")
-    values = ini.get("values")
-    if values is not None:
+    built = {}
+    for name, cls in _BLOCKS.items():
+        kwargs = _block(doc, name, cls)
+        if cls is StripGeometry and kwargs.get("b", "auto") == "auto":
+            B = kwargs["B"]
+            kwargs["b"] = constants_for_width(B).b_star if B > 0 else 0.0
         try:
-            values = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                "invalid value at initial.values: expected a rectangular array "
-                f"of numbers ({exc})") from exc
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(
-                "invalid value at initial.values: expected finite numbers")
-    try:
-        initial = InitialData(
-            kind=kind,
-            amplitude=_number(ini, "initial.", "amplitude", default=1.0),
-            x0=_number(ini, "initial.", "x0", default=0.0),
-            s=_number(ini, "initial.", "s", default=1.0),
-            j=_integer(ini, "initial.", "j", default=1),
-            k=_number(ini, "initial.", "k", default=1.0),
-            values=values,
-            target_l2_norm=_number(ini, "initial.", "target_l2_norm", default=None),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid initial block: {exc}") from exc
-
-    exp = doc.get("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("type mismatch at experiment: expected object")
-    _check_keys(exp, _EXPERIMENT_KEYS, "experiment.")
-    experiment = ExperimentConfig(
-        fit_window=exp.get("fit_window", "last-half-clean"),
-        thresholds=exp.get("thresholds", "regular"),
-    )
-
-    return RunConfig(
-        geometry=geometry, solver=solver, initial=initial,
-        experiment=experiment, raw=doc,
-    )
+            built[name] = cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {name} block: {exc}") from exc
+    return RunConfig(**built, raw=doc)
 
 
 def paper_ref_config() -> RunConfig:
@@ -300,21 +294,16 @@ def load_config(spec: str) -> RunConfig:
     return parse_config(path.read_text(encoding="utf-8"))
 
 
-_PAPER_REF_CACHE: dict = {}
-
-
+@functools.cache
 def paper_ref_run() -> tuple[RunConfig, TimeSeries]:
     """The reference run, computed once per process.
 
     Shared by the energy suite and the acceptance tests; the run takes
     about a minute and a half.
     """
-    if "run" not in _PAPER_REF_CACHE:
-        config = paper_ref_config()
-        init_field = make_initial_field(config.initial, config.geometry)
-        series = run(init_field.field, config.solver)
-        _PAPER_REF_CACHE["run"] = (config, series)
-    return _PAPER_REF_CACHE["run"]
+    config = paper_ref_config()
+    init_field = make_initial_field(config.initial, config.geometry)
+    return config, run(init_field.field, config.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +336,7 @@ def read_series_csv(path: Path, geometry: StripGeometry) -> TimeSeries:
                 f"malformed row in {path}, line {lineno}: {exc}") from exc
     if not samples:
         raise ConfigError(f"{path} has no samples, only its header")
-    series = TimeSeries(geometry=geometry, samples=samples)
-    series.flag_contamination()
-    return series
+    return TimeSeries(geometry=geometry, samples=samples)
 
 
 def write_manifest(out: Path, config: RunConfig, *, status: str, seed=None,

@@ -60,12 +60,6 @@ def weighted_inner(f: Field, g: Field) -> float:
     return _weighted_pairing(f.geometry, fa, fa if g is f else _modes(g))
 
 
-def weighted_dy_sq(u: Field) -> float:
-    """(exp(2bx), u_y^2)."""
-    a = _modes(u)
-    return _weighted_pairing(u.geometry, a, a, dy=True)
-
-
 def weighted_sup(u: Field) -> float:
     """Grid maximum of |exp(bx) u|."""
     return float(np.max(np.abs(_band(u.geometry).w_sup[:, None] * u.values)))
@@ -133,12 +127,22 @@ def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
 
 @dataclass
 class TimeSeries:
-    """Diagnostics history of one run."""
+    """Diagnostics history of one run.  Its status and contamination
+    time are read from the samples' tail masses."""
 
     geometry: StripGeometry
     samples: list[NormSample]
-    status: str = "clean"
-    contaminated_at: float | None = None
+
+    @property
+    def contaminated_at(self) -> float | None:
+        """Time of the first sample whose tail mass exceeds the
+        threshold; None for a clean run."""
+        return next((s.t for s in self.samples
+                     if s.tail > CONTAMINATION_THRESHOLD), None)
+
+    @property
+    def status(self) -> str:
+        return "clean" if self.contaminated_at is None else "contaminated"
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -150,24 +154,11 @@ class TimeSeries:
 
     def clean_end(self) -> float:
         """Time of the last sample before contamination (run end if clean)."""
-        last = None
-        for s in self.samples:
-            if s.tail > CONTAMINATION_THRESHOLD:
-                break
-            last = s.t
-        if last is None:
+        end = self.contaminated_at
+        clean = [s.t for s in self.samples if end is None or s.t < end]
+        if not clean:
             raise ValueError("run is contaminated from the first sample")
-        return last
-
-    def flag_contamination(self):
-        """Set status from the recorded per-sample tail masses."""
-        for s in self.samples:
-            if s.tail > CONTAMINATION_THRESHOLD:
-                self.status = "contaminated"
-                self.contaminated_at = s.t
-                return
-        self.status = "clean"
-        self.contaminated_at = None
+        return clean[-1]
 
 
 @dataclass(frozen=True)

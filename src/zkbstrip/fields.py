@@ -215,11 +215,12 @@ def _summed_power(flat: np.ndarray, axis: int) -> np.ndarray:
 class Field:
     """Immutable real field on the strip with a spectral view.
 
-    Construct from coefficients or via :meth:`from_values`; the grid view
-    is computed lazily and cached.
+    Construct from coefficients or via :meth:`from_values`.  The grid
+    view is synthesised on each access, not cached: the package reads a
+    field's grid only once, in the weighted sup.
     """
 
-    __slots__ = ("geometry", "coeffs", "_values")
+    __slots__ = ("geometry", "coeffs")
 
     def __init__(self, geometry: StripGeometry, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -233,7 +234,6 @@ class Field:
                              "field must be real")
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_values", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -257,9 +257,7 @@ class Field:
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            object.__setattr__(self, "_values", to_grid(self.coeffs, self.geometry))
-        return self._values
+        return to_grid(self.coeffs, self.geometry)
 
     # -- calculus ------------------------------------------------------
 
@@ -273,10 +271,6 @@ class Field:
     def l2sq(self) -> float:
         """Squared L2 norm over the strip, by Parseval."""
         return parseval_sums(self.coeffs, _band(self.geometry).w_l2)[0]
-
-    def gradsq(self) -> float:
-        """Squared L2 norm of the gradient, by Parseval."""
-        return parseval_sums(self.coeffs, _band(self.geometry).w_grad)[0]
 
     # -- arithmetic ------------------------------------------------------
 

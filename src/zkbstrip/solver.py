@@ -25,7 +25,7 @@ stepper and allocates only its result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -129,7 +129,8 @@ def _phi123(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class Stepper:
-    """Precomputed coefficients and transforms for one (geometry, config).
+    """Precomputed coefficients and transforms for one geometry, time
+    step, convection flag and nonlinear switch: all that a step reads.
 
     It steps the band array of :class:`fields._Band`: every coefficient
     table below has its (nj, nb) shape, or (1, nb) for the norm weights.
@@ -139,26 +140,25 @@ class Stepper:
     not across threads.
     """
 
-    def __init__(self, geom: StripGeometry, cfg: SolverConfig):
-        self.geom = geom
-        self.cfg = cfg
+    def __init__(self, geom: StripGeometry, dt: float, convection: int = 0,
+                 nonlinear: bool = True):
+        self.nonlinear = nonlinear
         self.band = band = _band(geom)
         sigma = linear_symbol(geom.wavenumbers()[None, : band.nb],
                               geom.eigenvalues()[: band.nj, None],
-                              cfg.convection)
+                              convection)
         self.w_l2 = band.gather(band.w_l2)
         self.w_dx = band.gather(band.w_dx)
 
-        h = cfg.dt
-        z = h * sigma
+        z = dt * sigma
         self.E = np.exp(z)
         self.E2 = np.exp(z / 2.0)
         p1h, _, _ = _phi123(z / 2.0)
         p1, p2, p3 = _phi123(z)
-        self.M = (h / 2.0) * p1h * band.slot
-        self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3) * band.slot
-        self.f2 = 2.0 * h * (p2 - 2.0 * p3) * band.slot  # weight of na and nb
-        self.f3 = h * (4.0 * p3 - p2) * band.slot
+        self.M = (dt / 2.0) * p1h * band.slot
+        self.f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3) * band.slot
+        self.f2 = 2.0 * dt * (p2 - 2.0 * p3) * band.slot  # weight of na and nb
+        self.f3 = dt * (4.0 * p3 - p2) * band.slot
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
@@ -170,7 +170,7 @@ class Stepper:
         return self.band.square(c)
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
-        if not self.cfg.nonlinear:
+        if not self.nonlinear:
             return self.E * c
         # Each stage sum of
         #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(nb*2 - n0),
@@ -200,31 +200,26 @@ class Stepper:
         return out
 
 
-def _cached_stepper(geom: StripGeometry, cfg: SolverConfig) -> Stepper:
-    """The stepper of runs on geom with cfg.  t_end and the sampling do
-    not enter a step, so runs that differ only in those share one
-    stepper: its tables and its stage buffers."""
-    return _stepper(geom, replace(cfg, t_end=0.0, output_every=1))
-
-
-@lru_cache(maxsize=8)
-def _stepper(geom: StripGeometry, cfg: SolverConfig) -> Stepper:
-    return Stepper(geom, cfg)
+# Keyed on what a step reads, so runs that differ in t_end or the
+# sampling share one stepper: its tables and its stage buffers
+_stepper = lru_cache(maxsize=8)(Stepper)
 
 
 def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
     """Integrate to t_end, sampling diagnostics every output_every steps.
 
-    Returns the diagnostics series; the run is flagged "contaminated"
-    (but still returned) when the weighted tail mass ever exceeds 1e-6
-    at a snapshot.  Non-finite values or a norm explosion raise
-    :class:`BlowUpError` with the partial series attached.  When given,
-    ``observer(sample, u)`` is called with each recorded sample and its
-    Field; if it returns True, the run ends at that sample.
+    Returns the diagnostics series, whose status reads "contaminated"
+    (the series is still returned) when the weighted tail mass ever
+    exceeds 1e-6 at a snapshot.  Runs on one geometry with the same dt,
+    convection flag and nonlinear switch share one cached stepper.
+    Non-finite values or a norm explosion raise :class:`BlowUpError`
+    with the partial series attached.  When given, ``observer(sample,
+    u)`` is called with each recorded sample and its Field; if it
+    returns True, the run ends at that sample.
     """
     geom = u0.geometry
     check_dispersion_sanity(geom, cfg)
-    st = _cached_stepper(geom, cfg)
+    st = _stepper(geom, cfg.dt, cfg.convection, cfg.nonlinear)
     c = st.band.gather(u0.coeffs)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -253,7 +248,6 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
         c = st.step_erk4(c)
         l2_now, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
         if not math.isfinite(l2_now) or l2_now > blow_limit:
-            series.status = "blow-up"
             raise BlowUpError(n * cfg.dt, l2_now, series)
         f_now = 2.0 * dxsq
         diss += 0.5 * cfg.dt * (f_prev + f_now)
@@ -262,5 +256,4 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
             if record(n, l2_now):
                 break
 
-    series.flag_contamination()
     return series

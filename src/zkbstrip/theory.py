@@ -49,14 +49,10 @@ def constants_for_width(B: float) -> TheoremConstants:
         raise ValueError(f"strip width B must be positive and finite, got {B}")
     root = math.sqrt(1.0 + 5.0 * math.pi**2 / (4.0 * B * B))
     b_star = (root - 1.0) / 5.0
-    chi = b_star * math.pi**2 / (4.0 * B * B)
-    chi_closed = (root - 1.0) / 20.0 * math.pi**2 / (B * B)
-    if abs(chi - chi_closed) > 1e-14 * chi:
-        raise AssertionError("decay-rate closed forms disagree")
     return TheoremConstants(
         B=B,
         b_star=b_star,
-        chi=chi,
+        chi=b_star * math.pi**2 / (4.0 * B * B),
         gamma=0.5,
         reg_threshold=3.0 * math.pi / (8.0 * B),
         weak_threshold=3.0 * math.pi / (16.0 * B),

@@ -5,6 +5,7 @@ import pytest
 from scipy.fft import dst, irfft, rfft
 
 from zkbstrip import Field, StripGeometry, run
+from zkbstrip.diagnostics import _modes, _weighted_pairing
 from zkbstrip.fields import _band
 
 
@@ -32,6 +33,12 @@ def reference_to_grid(coeffs, g):
     """Coefficients (Nx//2+1, Ny) -> grid samples (Nx, Ny)."""
     return reference_sine_values(irfft(coeffs, n=g.Nx, axis=0) * g.Nx, g,
                                  axis=1)
+
+
+def weighted_dy_sq(u):
+    """(exp(2bx), u_y^2) by the package's mode-space pairing."""
+    a = _modes(u)
+    return _weighted_pairing(u.geometry, a, a, dy=True)
 
 
 # Triple-product coupling oracle: the exact y-integral of three modes,

@@ -22,8 +22,10 @@ from zkbstrip import (
     tail_mass,
     weighted_inner,
 )
-from zkbstrip.diagnostics import weighted_dy_sq, weighted_sup
+from zkbstrip.diagnostics import weighted_sup
 from zkbstrip.fields import _band, to_grid
+
+from conftest import weighted_dy_sq
 
 
 def gaussian_mode_field(geom, amplitude=1.0, s=1.0, j=1):
@@ -281,10 +283,8 @@ class TestSeriesWindows:
                        sup_w=1.0, tail=tl)
             for tt, tl in zip(t, tails)
         ]
-        s = TimeSeries(geometry=StripGeometry(B=np.pi, Lx=1.0, Nx=4, Ny=1),
-                       samples=samples)
-        s.flag_contamination()
-        return s
+        return TimeSeries(geometry=StripGeometry(B=np.pi, Lx=1.0, Nx=4, Ny=1),
+                          samples=samples)
 
     def test_clean_series_window(self):
         s = self._series_with_tail([0.0] * 11)

@@ -14,9 +14,13 @@ from zkbstrip import (
     weighted_inner,
 )
 
-from zkbstrip.fields import to_grid
+from zkbstrip.fields import _band, parseval_sums, to_grid
 
-from conftest import reference_sine_values, reference_to_grid
+from conftest import (
+    reference_sine_values,
+    reference_to_grid,
+    weighted_dy_sq,
+)
 
 
 class TestFieldBasics:
@@ -97,10 +101,9 @@ class TestDerivatives:
     def test_parseval_norms(self, small_geom):
         u = make_random_field(replace(small_geom, b=0.0), seed=9)
         assert u.l2sq() == pytest.approx(weighted_inner(u, u), rel=1e-12)
-        from zkbstrip.diagnostics import weighted_dy_sq
-
         grad_quad = weighted_inner(u.dx(), u.dx()) + weighted_dy_sq(u)
-        assert u.gradsq() == pytest.approx(grad_quad, rel=1e-11)
+        gradsq = parseval_sums(u.coeffs, _band(u.geometry).w_grad)[0]
+        assert gradsq == pytest.approx(grad_quad, rel=1e-11)
 
 
 class TestInitialData:

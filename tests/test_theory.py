@@ -20,7 +20,8 @@ from zkbstrip import (
     weighted_inner,
 )
 from zkbstrip import theory
-from zkbstrip.diagnostics import weighted_dy_sq
+
+from conftest import weighted_dy_sq
 
 VERIF_GEOM = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
 
