@@ -105,6 +105,9 @@ def _number(v, path: str):
     if isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(
             f"invalid value at {path}: expected finite number, got {v}")
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        raise ConfigError(f"invalid value at {path}: expected finite number, "
+                          f"got an integer too large for a float")
     return v
 
 
@@ -299,7 +302,7 @@ def paper_ref_run() -> tuple[RunConfig, TimeSeries]:
     """The reference run, computed once per process.
 
     Shared by the energy suite and the acceptance tests; the run takes
-    about a minute and a half.
+    about 25 s (2-vCPU x86-64 VM, one BLAS thread).
     """
     config = paper_ref_config()
     init_field = make_initial_field(config.initial, config.geometry)
@@ -339,7 +342,7 @@ def read_series_csv(path: Path, geometry: StripGeometry) -> TimeSeries:
     return TimeSeries(geometry=geometry, samples=samples)
 
 
-def write_manifest(out: Path, config: RunConfig, *, status: str, seed=None,
+def write_manifest(out: Path, config: RunConfig, *, status: str,
                    started: str, extra: dict | None = None):
     files = {}
     for f in sorted(out.iterdir()):
@@ -350,7 +353,6 @@ def write_manifest(out: Path, config: RunConfig, *, status: str, seed=None,
         "code_version": __version__,
         "config": config.raw,
         "resolved_b": config.geometry.b,
-        "seed": seed,
         "started_at": started,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "status": status,

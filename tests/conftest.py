@@ -92,8 +92,8 @@ def final_field(u0, cfg):
 def paper_ref():
     """Reference decay run (B=pi, Lx=30, 1024x32, t_end=40), computed once.
 
-    Takes about a minute and a half; shared by the energy-identity and
-    weighted-decay acceptance criteria.
+    Takes about 25 s (2-vCPU x86-64 VM, one BLAS thread); shared by the
+    energy-identity and weighted-decay acceptance criteria.
     """
     from zkbstrip.cli import paper_ref_run
 

@@ -256,6 +256,7 @@ class TestSimulateCommand:
         manifest = read_manifest(out)
         assert manifest["status"] == "clean"
         assert manifest["resolved_b"] == pytest.approx(0.1, abs=1e-14)
+        assert "seed" not in manifest  # simulate takes no seed
 
     def test_reruns_bit_identical(self, tmp_path):
         doc = base_doc(solver={"t_end": 0.2, "output_every": 20})
@@ -273,6 +274,21 @@ class TestSimulateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "initial.values" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block,key", [("geometry", "B"),
+                                           ("initial", "amplitude")])
+    def test_integer_too_large_for_a_float_is_usage_error(
+            self, tmp_path, capsys, block, key):
+        doc = base_doc()
+        doc[block][key] = 10**400
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: invalid value at {block}.{key}: expected finite number")
         assert not out.exists()
 
     def test_contaminated_run_exit_code(self, tmp_path):

@@ -178,6 +178,21 @@ class TestInitialData:
         )
         assert np.max(np.abs(fld.values - vals)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["gaussian_mode", "single_mode"])
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_sampled_mode_holds_only_its_column(self, kind, j):
+        # DST-I orthogonality: the other columns are exact zeros, and the
+        # mode's own column is the plain transform of the samples
+        g = StripGeometry(B=np.pi, Lx=2 * np.pi, Nx=64, Ny=12)
+        x, wj = g.x_grid(), evaluate_mode(j, g.y_grid(), g.B)
+        profile = np.exp(-(x**2)) if kind == "gaussian_mode" else np.sin(x)
+        fld, _, _ = make_initial_field(
+            InitialData(kind=kind, amplitude=1.0, s=1.0, k=1.0, j=j), g)
+        plain = Field.from_values(g, profile[:, None] * wj[None, :]).coeffs
+        others = np.arange(g.Ny) != j - 1
+        assert not fld.coeffs[:, others].any()
+        assert np.array_equal(fld.coeffs[:, j - 1], plain[:, j - 1])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             InitialData(kind="wavelet")

@@ -219,6 +219,23 @@ def random_coeffs(g: StripGeometry, seed: int) -> np.ndarray:
     return c
 
 
+def symmetric_coeffs(g: StripGeometry, seed: int) -> np.ndarray:
+    """random_coeffs with the even y modes zeroed: a field even about
+    y = B/2."""
+    c = random_coeffs(g, seed)
+    c[:, 1::2] = 0.0
+    return c
+
+
+def stepper_cases(g: StripGeometry, seed: int, scale: float = 1.0):
+    """(stepper, band state) for the general stepper on random band data
+    and for the odd-only stepper on its odd block."""
+    band = _band(g)
+    c = band.gather(scale * random_coeffs(g, seed))
+    return [(Stepper(g, 1e-3), c),
+            (Stepper(g, 1e-3, odd_only=True), c[: band.n_odd].copy())]
+
+
 def reference_etdrk4_step(c: np.ndarray, g: StripGeometry, dt: float) -> np.ndarray:
     """One ETDRK4 step in the full layout, from the band projection of c."""
     k = g.wavenumbers()[:, None]
@@ -266,6 +283,25 @@ class TestBandEquivalence:
         got = final_field(Field(g, c), cfg).coeffs
         assert self.close(got, reference_etdrk4_step(c, g, 1e-3))
 
+    def test_symmetric_nonlinear_term(self, Nx, Ny):
+        # the odd block alone, product skipping every even-mode term
+        g = self.geometry(Nx, Ny)
+        c = symmetric_coeffs(g, seed=Nx + Ny)
+        band = _band(g)
+        square = band.square(band.gather(c)[: band.n_odd])
+        got, want = band.scatter(-band.slot * square), -reference_rhs(c, g)
+        # at 4x3 the one kept product slot is 1e-4 of its O(|c|**2) terms
+        scale = max(np.max(np.abs(want)), np.max(np.abs(c)) ** 2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_symmetric_one_step_run(self, Nx, Ny):
+        g = self.geometry(Nx, Ny)
+        c = symmetric_coeffs(g, seed=Nx * Ny)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-3)
+        got = final_field(Field(g, c), cfg).coeffs
+        assert not got[:, 1::2].any()
+        assert self.close(got, reference_etdrk4_step(c, g, 1e-3))
+
 
 def allocating_etdrk4_step(st: Stepper, c: np.ndarray) -> np.ndarray:
     """One ETDRK4 step as the plain allocating expression on the band, in
@@ -295,24 +331,23 @@ class TestInPlaceStep:
     ])
     def test_matches_allocating_step(self, Lx, Nx, Ny):
         g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
-        st = Stepper(g, 1e-3)
-        c = st.band.gather(0.1 * random_coeffs(g, seed=Nx))
-        want = c.copy()
-        for _ in range(20):
-            c = st.step_erk4(c)
-            want = allocating_etdrk4_step(st, want)
-            assert np.array_equal(c, want)
+        for st, c in stepper_cases(g, seed=Nx, scale=0.1):
+            want = c.copy()
+            for _ in range(20):
+                c = st.step_erk4(c)
+                want = allocating_etdrk4_step(st, want)
+                assert np.array_equal(c, want)
 
     def test_step_results_do_not_alias(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
-        st = Stepper(g, 1e-3)
-        c = st.step_erk4(st.band.gather(0.1 * random_coeffs(g, seed=1)))
-        kept = c.copy()
-        later = st.step_erk4(c)
-        assert np.array_equal(c, kept)
-        st.step_erk4(later)
-        assert np.array_equal(c, kept)
-        assert not np.shares_memory(c, later)
+        for st, c in stepper_cases(g, seed=1, scale=0.1):
+            c = st.step_erk4(c)
+            kept = c.copy()
+            later = st.step_erk4(c)
+            assert np.array_equal(c, kept)
+            st.step_erk4(later)
+            assert np.array_equal(c, kept)
+            assert not np.shares_memory(c, later)
 
     def test_square_after_another_matches_fresh_band(self):
         # the padded tail of the scratch is zero again on every call
@@ -324,16 +359,15 @@ class TestInPlaceStep:
 
     def test_step_allocates_only_its_result(self):
         g = StripGeometry(B=np.pi, Lx=30.0, Nx=1024, Ny=32)
-        st = Stepper(g, 1e-3)
-        c = st.band.gather(0.1 * random_coeffs(g, seed=3))
-        c = st.step_erk4(st.step_erk4(c))  # scratch arrays, FFT plans
-        tracemalloc.start()
-        try:
-            out = st.step_erk4(c)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * out.nbytes
+        for st, c in stepper_cases(g, seed=3, scale=0.1):
+            c = st.step_erk4(st.step_erk4(c))  # scratch arrays, FFT plans
+            tracemalloc.start()
+            try:
+                out = st.step_erk4(c)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * out.nbytes
 
     def test_runs_differing_in_t_end_share_a_stepper(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
@@ -355,7 +389,7 @@ class TestInPlaceStep:
         tables = {name: t for name, t in vars(band).items()
                   if isinstance(t, np.ndarray)}
         assert {"sines", "synthesis", "analysis", "slot", "w_l2", "w_dx",
-                "w_grad", "ik", "w_x", "w_sup"} <= tables.keys()
+                "w_grad", "ik", "w_x", "w_sup", "order"} <= tables.keys()
         for name, t in tables.items():
             assert not t.flags.writeable, name
             with pytest.raises(ValueError):
@@ -364,16 +398,16 @@ class TestInPlaceStep:
     def test_stepper_tables_are_read_only(self):
         # _stepper shares one stepper between runs
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
-        st = Stepper(g, 1e-3)
-        st.step_erk4(st.band.gather(random_coeffs(g, seed=1)))
-        tables = {name: t for name, t in vars(st).items()
-                  if isinstance(t, np.ndarray)}
-        assert tables.keys() == {"E", "E2", "M", "f1", "f2", "f3",
-                                 "w_l2", "w_dx"}
-        for name, t in tables.items():
-            assert not t.flags.writeable, name
-            with pytest.raises(ValueError):
-                t.flat[0] = 1.0
+        for st, c in stepper_cases(g, seed=1):
+            st.step_erk4(c)
+            tables = {name: t for name, t in vars(st).items()
+                      if isinstance(t, np.ndarray)}
+            assert tables.keys() == {"E", "E2", "M", "f1", "f2", "f3",
+                                     "w_l2", "w_dx"}
+            for name, t in tables.items():
+                assert not t.flags.writeable, name
+                with pytest.raises(ValueError):
+                    t.flat[0] = 1.0
 
     def test_transforms_between_steps_leave_run_unchanged(self):
         # the stepper shares its band with to_grid and Field.values;
@@ -407,6 +441,50 @@ class TestInPlaceStep:
         assert all(np.array_equal(a, b) for a, b in zip(busy_fields, plain_fields))
         assert len(busy_fields) == 21
         assert len(stale) == 40 and not any(stale)
+
+
+class TestParitySplit:
+    """Data even about y = B/2 (odd modes only) stays so; run then steps
+    its odd block alone, skipping every even-mode term of the product."""
+
+    @pytest.mark.parametrize("Lx,Nx,Ny", [
+        (30.0, 1024, 32),
+        (8.0, 64, 12),
+        (np.pi, 10, 7),
+        (np.pi, 4, 3),
+    ])
+    def test_odd_only_stepper_matches_general(self, Lx, Nx, Ny):
+        g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
+        band = _band(g)
+        c = band.gather(0.1 * symmetric_coeffs(g, seed=Nx))
+        general, odd = Stepper(g, 1e-3), Stepper(g, 1e-3, odd_only=True)
+        c_odd = c[: band.n_odd].copy()
+        for _ in range(20):
+            c, c_odd = general.step_erk4(c), odd.step_erk4(c_odd)
+            assert np.array_equal(c[: band.n_odd], c_odd)
+            assert not c[band.n_odd :].any()
+
+    def test_symmetric_run_takes_the_odd_only_stepper(self):
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        u0 = make_initial_field(
+            InitialData(kind="gaussian_mode", amplitude=0.2, j=3), g).field
+        _stepper.cache_clear()
+        run(u0, SolverConfig(dt=1e-3, t_end=0.01))
+        _stepper(g, 1e-3, 0, True, True)
+        assert _stepper.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_even_mode_data_takes_the_general_path(self):
+        # w_2 is odd about y = B/2; forcing the reduction would drop it
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        u0 = make_initial_field(
+            InitialData(kind="gaussian_mode", amplitude=0.2, j=2), g).field
+        got = final_field(u0, SolverConfig(dt=1e-3, t_end=0.01)).coeffs
+        st = Stepper(g, 1e-3)
+        c = st.band.gather(u0.coeffs)
+        for _ in range(10):
+            c = st.step_erk4(c)
+        assert np.array_equal(got, st.band.scatter(c))
+        assert got[:, 1].any()
 
 
 class TestRun:
