@@ -11,15 +11,14 @@ representation itself.  The one transform between coefficients and grid
 samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
 serves both the views of a Field and the stepper's dealiased square,
 and holds every other read-only table of its geometry.  The x FFTs are
-numpy's, which write into given arrays.  The dealiased square is split
-by parity in y: the odd sine modes are even about y = B/2 and the even
-ones odd, so it forms both halves of the grid from its top half alone,
-and data with no even mode (an exactly zero even block) skips every
-even-mode term.  It copies its band into a zero-tailed padded buffer
-before the x irfft (numpy's own zero-padding inside the transform is
-slower) and returns one of its scratch arrays; its band is shared
-through a cache, so that is safe from one call to the next, but not
-across threads.
+numpy's, which write into given arrays.  The band keeps its odd y
+modes first: the odd sine modes are even about y = B/2, so data with no
+even mode (an exactly zero even block) is squared from its odd block on
+the top half of the grid alone.  The dealiased square copies its band
+into a zero-tailed padded buffer before the x irfft (numpy's own
+zero-padding inside the transform is slower) and returns one of its
+scratch arrays; its band is shared through a cache, so that is safe
+from one call to the next, but not across threads.
 """
 
 from __future__ import annotations
@@ -59,25 +58,22 @@ class _Band:
     first n_odd rows and the even ones after them (``order`` maps a row
     to its column j - 1 of the full layout).  The grid is reached by an
     x irfft of the rows, copied into the leading slots of a zero-tailed
-    padded buffer, and a sine product in y.  That product is split by
-    parity: the odd modes give E, even about y = B/2, and the even modes
-    O, odd about it, both on the top h = Ny//2 rows (E also on the
-    middle row when Ny is odd, where O vanishes), so u = E + O there and
-    E - O on the mirrored rows.  The odd coefficients of u**2 are then
-    the odd analysis of 2*(E**2 + O**2) and the even ones the even
-    analysis of 4*E*O, with the factors 2 and 4, and the halved weight of
-    the middle row, folded into ``analysis``: half the flops of the full
-    (Ny, nj) products.  Rows of the odd block alone stand for an all-zero
-    even block, and then O and every term of it are skipped.  Nx and the
-    normalisation of the orthonormal modes make up one scale factor
-    each way; the stepper's synthesis and analysis matrices carry them.
-    The x derivative of the nonlinear term sits in one per-slot
-    factor, ``slot``, which the stepper folds into its ETDRK4 weights,
-    so :meth:`square` returns the band spectrum of u**2 itself.  It
-    writes its x samples, grid values and spectrum into scratch arrays
-    made on its first call, so a band that only serves the transforms
-    below never holds them; the rfft output is also the padded irfft
-    input of the next call.  One band per geometry also serves
+    padded buffer, followed by one (Ny, nj) sine product in y; the way
+    back is one (nj, Ny) sine product and an x rfft of the rows.  Rows
+    of the odd block alone stand for an all-zero even block: such data
+    is even about y = B/2, and so is its square, so the products take
+    only the odd modes on the top (Ny + 1)//2 grid rows, each row but an
+    unpaired middle one (Ny odd) weighted twice for its mirror in
+    ``analysis_odd``: a quarter of the flops of the full products.  Nx
+    and the normalisation of the orthonormal modes make up one scale
+    factor each way; the stepper's synthesis and analysis matrices
+    carry them.  The x derivative of the nonlinear term sits in one
+    per-slot factor, ``slot``, which the stepper folds into its ETDRK4
+    weights, so :meth:`square` returns the band spectrum of u**2
+    itself.  It writes its x samples, grid values and spectrum into
+    scratch arrays made on its first call, so a band that only serves
+    the transforms below never holds them; the rfft output is also the
+    padded irfft input of the next call.  One band per geometry also serves
     :func:`to_grid`, :func:`to_spectral` and :meth:`x_modes`, which
     take every y mode of the full sine matrix and scale after the sine
     product, as a plain type-I DST does: a scale folded into the matrix
@@ -99,18 +95,15 @@ class _Band:
         # band rows: the odd modes j = 1, 3, ... first, then the even ones
         self.order = np.r_[0:nj:2, 1:nj:2]
         self.n_odd = (nj + 1) // 2
-        # the product's half grid: the h = Ny//2 top rows, each paired
-        # with its mirror, and the unpaired middle row when Ny is odd
-        self.h, half = geom.Ny // 2, (geom.Ny + 1) // 2
-        self.synthesis = self.grid_scale * self.sines[:half, self.order]
-        # u^2 = E^2 + O^2 +/- 2*E*O on a mirrored pair: the odd analysis
-        # takes 2*(E^2 + O^2) (E^2 alone on the middle row), the even
-        # one 4*E*O
+        self.synthesis = self.grid_scale * self.sines[:, self.order]
+        self.analysis = self.sines[:, self.order].T * self.coeff_scale
+        # the odd block's half grid: the top Ny//2 rows stand for their
+        # mirrors too, the unpaired middle row (Ny odd) for itself
+        half = (geom.Ny + 1) // 2
         fold = np.full(half, 2.0)
-        fold[self.h:] = 1.0
-        self.analysis = self.sines[:half, self.order].T * self.coeff_scale
-        self.analysis[: self.n_odd] *= fold
-        self.analysis[self.n_odd :] *= 4.0
+        fold[geom.Ny // 2 :] = 1.0
+        self.synthesis_odd = self.synthesis[:half, : self.n_odd].copy()
+        self.analysis_odd = self.analysis[: self.n_odd, :half] * fold
         # -(u u_x)^hat = -0.5*i*k*(u^2)^hat
         self.slot = (-0.5j) * k[:nb]
         # Parseval weights of ||u||^2, ||u_x||^2 and ||grad u||^2; every
@@ -135,10 +128,8 @@ class _Band:
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Full-layout (Nx//2+1, Ny) coefficients -> contiguous band
-        array (a copy), rows in band order; a Parseval table of one
-        column -> its (1, nb) band row."""
-        rows = full[: self.nb, : self.nj].T
-        return np.ascontiguousarray(rows[self.order] if len(rows) > 1 else rows)
+        array (a copy), rows in band order."""
+        return full[: self.nb, self.order].T.copy()
 
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """Band array, or its odd block alone, -> full (Nx//2+1, Ny)
@@ -158,33 +149,25 @@ class _Band:
         """(u**2)^ on the band, from the band coefficients a of u, in a
         scratch array that the next call overwrites.  An a of only the
         n_odd odd rows stands for data with an all-zero even block, whose
-        square has one too: the product then skips every even-mode term
-        and returns the odd rows alone."""
-        g, no, h = self.geom, self.n_odd, self.h
+        square has one too: the product then takes the half grid and
+        returns the odd rows alone."""
+        g = self.geom
         if self._scratch is None:
-            half = self.synthesis.shape[0]
             self._scratch = (np.empty((self.nj, g.Nx)),  # x samples, each way
-                             np.empty((half, g.Nx)),  # E, then E^2 (+ O^2)
-                             np.empty((h, g.Nx)),  # O, then O^2
-                             np.empty((h, g.Nx)),  # E*O
+                             np.empty((g.Ny, g.Nx)),  # u, then u^2
                              np.empty((self.nj, g.Nx // 2 + 1), dtype=complex),
                              np.empty((self.nj, self.nb), dtype=complex))
-        xs, e, o, eo, spec, out = self._scratch
+        xs, u, spec, out = self._scratch
         n = len(a)
-        xs, spec, out = xs[:n], spec[:n], out[:n]
+        synthesis, analysis = ((self.synthesis, self.analysis) if n == self.nj
+                               else (self.synthesis_odd, self.analysis_odd))
+        xs, u, spec, out = xs[:n], u[: len(synthesis)], spec[:n], out[:n]
         spec[:, : self.nb] = a  # the padded irfft input, then the rfft output
         spec[:, self.nb :] = 0.0
         irfft(spec, n=g.Nx, axis=1, out=xs)
-        np.matmul(self.synthesis[:, :no], xs[:no], out=e)
-        if n > no:
-            np.matmul(self.synthesis[:h, no:], xs[no:], out=o)
-            np.multiply(e[:h], o, out=eo)
-            np.multiply(o, o, out=o)
-        np.multiply(e, e, out=e)
-        if n > no:
-            e[:h] += o
-            np.matmul(self.analysis[no:, :h], eo, out=xs[no:])
-        np.matmul(self.analysis[:no], e, out=xs[:no])
+        np.matmul(synthesis, xs, out=u)
+        np.multiply(u, u, out=u)
+        np.matmul(analysis, u, out=xs)
         rfft(xs, axis=1, out=spec)
         # contiguous for the stepper: numpy's ufuncs copy a strided 2-D
         # operand into a buffer of its full size

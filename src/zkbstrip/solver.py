@@ -19,7 +19,8 @@ contiguous, odd modes first; the full (Nx//2+1, Ny) layout of a Field is
 rebuilt only for output.  The equation and the Dirichlet conditions are
 unchanged by y -> B - y, so data even about y = B/2 (no even sine mode)
 stays so for all time: when the even block of the initial state is
-exactly zero, with no tolerance, the run steps the odd block alone.
+exactly zero, with no tolerance, the run steps the odd block alone,
+whose square takes half the y grid.
 The factor -0.5*i*k of the derivative is folded into the ETDRK4 weights
 once, so each stage takes the band spectrum of u^2 as it comes from the
 transforms, and a step forms its stages in four buffers of the stepper
@@ -136,25 +137,25 @@ class Stepper:
     """Precomputed coefficients and transforms for one geometry, time
     step, convection flag and nonlinear switch: all that a step reads.
 
-    It steps the band array of :class:`fields._Band`, or with
-    ``odd_only`` its odd block alone: every coefficient table below has
-    its (nj, nb) or (n_odd, nb) shape, or (1, nb) for the norm weights.
-    The weights M, f1, f2, f3 carry the derivative factor ``band.slot``.
+    It steps the band array of :class:`fields._Band`, or its odd block
+    alone.  Every coefficient table below has the (nj, nb) shape of the
+    band, or (1, nb) for the norm weights, and a step reads the leading
+    len(c) rows of each table and stage buffer.  The weights M, f1, f2,
+    f3 carry the derivative factor ``band.slot``.
     The tables are frozen, since the stepper is shared through a cache;
     its stage buffers make a step safe from one call to the next, but
     not across threads.
     """
 
     def __init__(self, geom: StripGeometry, dt: float, convection: int = 0,
-                 nonlinear: bool = True, odd_only: bool = False):
+                 nonlinear: bool = True):
         self.nonlinear = nonlinear
         self.band = band = _band(geom)
-        rows = band.order[: band.n_odd if odd_only else band.nj]
         sigma = linear_symbol(geom.wavenumbers()[None, : band.nb],
-                              geom.eigenvalues()[rows, None],
+                              geom.eigenvalues()[band.order, None],
                               convection)
-        self.w_l2 = band.gather(band.w_l2)
-        self.w_dx = band.gather(band.w_dx)
+        self.w_l2 = band.w_l2[: band.nb].T
+        self.w_dx = band.w_dx[: band.nb].T
 
         z = dt * sigma
         self.E = np.exp(z)
@@ -168,7 +169,12 @@ class Stepper:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
-        self._stages = tuple(np.empty_like(self.E) for _ in range(4))
+        stages = tuple(np.empty_like(self.E) for _ in range(4))
+        # a step reads the leading rows of each table and stage buffer:
+        # all nj for the band, n_odd for its odd block alone
+        per_row = (self.E, self.E2, self.M, self.f1, self.f2, self.f3, *stages)
+        self._rows = {n: tuple(t[:n] for t in per_row)
+                      for n in (band.nj, band.n_odd)}
 
     def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
         """(u^2)^ on the band, in scratch that the next call overwrites;
@@ -176,33 +182,33 @@ class Stepper:
         return self.band.square(c)
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
+        E, E2, M, f1, f2, f3, e2c, n0, a, tmp = self._rows[len(c)]
         if not self.nonlinear:
-            return self.E * c
+            return E * c
         # Each stage sum of
         #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(nb*2 - n0),
         #   E*c + f1*n0 + f2*na + f2*nb + f3*nc
         # is formed in place, left to right.  A product n is the band's
         # scratch, used up before the next one; only n0 is kept.
-        e2c, n0, a, tmp = self._stages
-        out = np.multiply(self.E, c)
-        np.multiply(self.E2, c, out=e2c)
+        out = np.multiply(E, c)
+        np.multiply(E2, c, out=e2c)
         n = self.nonlinear_rhs(c)
         np.copyto(n0, n)
-        out += np.multiply(self.f1, n, out=n)
-        np.multiply(self.M, n0, out=a)
+        out += np.multiply(f1, n, out=n)
+        np.multiply(M, n0, out=a)
         a += e2c
         n = self.nonlinear_rhs(a)
-        b = np.multiply(self.M, n, out=tmp)
+        b = np.multiply(M, n, out=tmp)
         b += e2c
-        out += np.multiply(self.f2, n, out=n)
+        out += np.multiply(f2, n, out=n)
         n = self.nonlinear_rhs(b)
-        out += np.multiply(self.f2, n, out=tmp)
+        out += np.multiply(f2, n, out=tmp)
         n *= 2.0
         n -= n0
-        cc = np.multiply(self.E2, a, out=a)
-        cc += np.multiply(self.M, n, out=n)
+        cc = np.multiply(E2, a, out=a)
+        cc += np.multiply(M, n, out=n)
         n = self.nonlinear_rhs(cc)
-        out += np.multiply(self.f3, n, out=n)
+        out += np.multiply(f3, n, out=n)
         return out
 
 
@@ -217,8 +223,7 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
     Returns the diagnostics series, whose status reads "contaminated"
     (the series is still returned) when the weighted tail mass ever
     exceeds 1e-6 at a snapshot.  Runs on one geometry with the same dt,
-    convection flag and nonlinear switch share one cached stepper, one
-    for data with an exactly zero even block and one for all other.
+    convection flag and nonlinear switch share one cached stepper.
     Non-finite values or a norm explosion raise :class:`BlowUpError`
     with the partial series attached.  When given, ``observer(sample,
     u)`` is called with each recorded sample and its Field; if it
@@ -226,13 +231,11 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
     """
     geom = u0.geometry
     check_dispersion_sanity(geom, cfg)
-    band = _band(geom)
-    c = band.gather(u0.coeffs)
-    # data even about y = B/2 stays so: step its odd modes alone
-    odd_only = not c[band.n_odd :].any()
-    if odd_only:
-        c = c[: band.n_odd]
-    st = _stepper(geom, cfg.dt, cfg.convection, cfg.nonlinear, odd_only)
+    st = _stepper(geom, cfg.dt, cfg.convection, cfg.nonlinear)
+    c = st.band.gather(u0.coeffs)
+    # data even about y = B/2 stays so: step its odd block alone
+    if not c[st.band.n_odd :].any():
+        c = c[: st.band.n_odd]
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
