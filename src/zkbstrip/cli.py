@@ -302,7 +302,7 @@ def paper_ref_run() -> tuple[RunConfig, TimeSeries]:
     """The reference run, computed once per process.
 
     Shared by the energy suite and the acceptance tests; the run takes
-    about 25 s (2-vCPU x86-64 VM, one BLAS thread).
+    17 to 25 s (2-vCPU x86-64 VM, one BLAS thread).
     """
     config = paper_ref_config()
     init_field = make_initial_field(config.initial, config.geometry)

@@ -8,8 +8,9 @@ the orthonormal sine modes on the x grid: the sine modes are discretely
 orthogonal on the interior y grid, so sum_j a^f_j a^g_j equals the
 interior rectangle rule dy * sum_m f(x, y_m) g(x, y_m) exactly, and
 sum_j lambda_j a^f_j a^g_j is the exact integral of f_y g_y (a cosine
-series, which the rectangle rule would not integrate exactly).  No
-pairing builds grid values; only the weighted sup does.
+series, which the rectangle rule would not integrate exactly).  Every
+pairing is a sum or a lambda_j-dot of the moments of :func:`_moments`;
+only the weighted sup builds grid values.
 """
 
 from __future__ import annotations
@@ -23,33 +24,24 @@ from .fields import Field, _band
 from .geometry import StripGeometry
 
 CONTAMINATION_THRESHOLD = 1e-6
-TAIL_BAND_FRACTION = 0.1
 
 
-def _modes(u: Field) -> np.ndarray:
-    """(Nx, J) amplitudes a_j(x) of u's leading non-zero y modes."""
-    return _band(u.geometry).x_modes(u.coeffs)
+def _modes(u: Field, dx: bool = False) -> np.ndarray:
+    """(Nx, J) amplitudes a_j(x) of u's leading non-zero y modes; with
+    dx, (Nx, 2J): those of u, then those of u_x."""
+    return _band(u.geometry).x_modes(u.coeffs, dx)
 
 
-def _weighted_density(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,
-                      dy: bool = False) -> np.ndarray:
-    """Per-x-node share of the weighted pairing of two fields, from their
-    mode amplitudes (:func:`_modes`): the x weight times
-    sum_j a^f_j a^g_j, which sums to (exp(2bx) f, g), or with dy times
-    sum_j lambda_j a^f_j a^g_j, which sums to (exp(2bx), f_y g_y).
-    Modes past the shorter of the two amplitude arrays are zero in one
-    factor and drop out.
+def _moments(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """(2, J) weighted moments of two fields per y mode, from their mode
+    amplitudes (:func:`_modes`): row 0 holds the x trapezoid sums of
+    exp(2bx) a^f_j a^g_j, which add up to (exp(2bx) f, g) and whose dot
+    with lambda_j is (exp(2bx), f_y g_y), and row 1 their shares in the
+    outer x-bands of the tail mass.  Modes past the shorter of the two
+    amplitude arrays are zero in one factor and drop out.
     """
     nj = min(fa.shape[1], ga.shape[1])
-    prod = fa[:, :nj] * ga[:, :nj]
-    y_sum = prod @ geom.eigenvalues()[:nj] if dy else np.sum(prod, axis=1)
-    return _band(geom).w_x * y_sum
-
-
-def _weighted_pairing(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray,
-                      dy: bool = False) -> float:
-    """The sum of :func:`_weighted_density` over x."""
-    return float(np.sum(_weighted_density(geom, fa, ga, dy)))
+    return _band(geom).w_x @ (fa[:, :nj] * ga[:, :nj])
 
 
 def weighted_inner(f: Field, g: Field) -> float:
@@ -57,7 +49,8 @@ def weighted_inner(f: Field, g: Field) -> float:
     if f.geometry != g.geometry:
         raise ValueError("fields live on different grids")
     fa = _modes(f)
-    return _weighted_pairing(f.geometry, fa, fa if g is f else _modes(g))
+    ga = fa if g is f else _modes(g)
+    return float(np.sum(_moments(f.geometry, fa, ga)[0]))
 
 
 def weighted_sup(u: Field) -> float:
@@ -71,19 +64,9 @@ def tail_mass(u: Field) -> float:
     The endpoint row at -Lx stands for both periodic endpoints, so its
     whole weight lies in the bands.  Returns 0 for a zero field.
     """
-    geom, a = u.geometry, _modes(u)
-    density = _weighted_density(geom, a, a)
-    return _tail_fraction(geom, density, float(np.sum(density)))
-
-
-def _tail_fraction(geom: StripGeometry, density: np.ndarray,
-                   total: float) -> float:
-    """The share of the outer x-bands in a weighted density
-    (:func:`_weighted_density`) whose sum is total."""
-    if total == 0.0:
-        return 0.0
-    edge = (1.0 - 2.0 * TAIL_BAND_FRACTION) * geom.Lx
-    return float(np.sum(density[np.abs(geom.x_grid()) >= edge])) / total
+    a = _modes(u)
+    total, tail = np.sum(_moments(u.geometry, a, a), axis=1)
+    return float(tail) / float(total) if total != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -114,15 +97,14 @@ NORM_COLUMNS = tuple(f.name for f in fields(NormSample))[1:]
 def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
     """The diagnostic record of one field, given its squared L2 norm and
     the dissipation accumulated so far."""
-    geom, a, ax = u.geometry, _modes(u), _modes(u.dx())
-    density = _weighted_density(geom, a, a)
-    w_l2 = float(np.sum(density))
-    w_h1 = (w_l2 + _weighted_pairing(geom, ax, ax)
-            + _weighted_pairing(geom, a, a, dy=True))
-    return NormSample(
-        t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
-        sup_w=weighted_sup(u), tail=_tail_fraction(geom, density, w_l2),
-    )
+    geom, a = u.geometry, _modes(u, dx=True)
+    m, nj = _moments(geom, a, a), a.shape[1] // 2
+    w_l2 = float(np.sum(m[0, :nj]))
+    w_h1 = (w_l2 + float(np.sum(m[0, nj:]))
+            + float(geom.eigenvalues()[:nj] @ m[0, :nj]))
+    tail = float(np.sum(m[1, :nj])) / w_l2 if w_l2 != 0.0 else 0.0
+    return NormSample(t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
+                      sup_w=weighted_sup(u), tail=tail)
 
 
 @dataclass

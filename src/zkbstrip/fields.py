@@ -34,6 +34,7 @@ from numpy.fft import irfft, rfft
 from .geometry import StripGeometry, evaluate_mode
 
 TAIL_REJECT_THRESHOLD = 1e-8
+TAIL_BAND_FRACTION = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +118,13 @@ class _Band:
         # i*k_n of the spectral x-derivative, zero on the Nyquist slot
         self.ik = (1j * k)[:, None]
         self.ik[-1] = 0.0
-        # x weights of the exp(2bx) trapezoid rule and of the exp(bx) sup
-        self.w_x = geom.dx * np.exp(2.0 * geom.b * x)
-        self.w_x[0] = geom.dx * math.cosh(2.0 * geom.b * geom.Lx)
+        # x weights of the exp(2bx) trapezoid rule, over the period and
+        # over the outer x-bands of the tail mass, and of the exp(bx) sup
+        self.w_x = np.empty((2, geom.Nx))
+        self.w_x[0] = geom.dx * np.exp(2.0 * geom.b * x)
+        self.w_x[0, 0] = geom.dx * math.cosh(2.0 * geom.b * geom.Lx)
+        edge = (1.0 - 2.0 * TAIL_BAND_FRACTION) * geom.Lx
+        self.w_x[1] = np.where(np.abs(x) >= edge, self.w_x[0], 0.0)
         self.w_sup = np.exp(geom.b * x)
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
@@ -139,11 +144,15 @@ class _Band:
         full[: self.nb, self.order[: len(a)]] = a.T
         return full
 
-    def x_modes(self, full: np.ndarray) -> np.ndarray:
+    def x_modes(self, full: np.ndarray, dx: bool = False) -> np.ndarray:
         """Full-layout coefficients -> (Nx, J) amplitudes a_j(x) on the x
         grid of the leading J orthonormal y modes, up to the last mode
-        that holds a non-zero coefficient."""
-        return irfft(_leading_modes(full), n=self.geom.Nx, axis=0) * self.geom.Nx
+        that holds a non-zero coefficient; with dx, (Nx, 2J): those of u
+        and then those of u_x, from one transform."""
+        c = _leading_modes(full)
+        if dx:
+            c = np.concatenate([c, c * self.ik], axis=1)
+        return irfft(c, n=self.geom.Nx, axis=0) * self.geom.Nx
 
     def square(self, a: np.ndarray) -> np.ndarray:
         """(u**2)^ on the band, from the band coefficients a of u, in a
@@ -319,18 +328,24 @@ class Field:
 
     __rmul__ = __mul__
 
-    def values_padded(self) -> tuple[np.ndarray, StripGeometry]:
-        """Field sampled on the (2*Nx, 2*Ny) refinement of the grid.
-
-        Used for alias-free quadrature of quartic quantities.  Returns the
-        sample array and the refined geometry, unweighted (b = 0), for the
-        quadrature weights.
+    def quartic_samples(self) -> tuple[np.ndarray, StripGeometry]:
+        """Field sampled on the smallest grid, of Nx or 2*Nx by Ny or
+        2*Ny points, that integrates u**4 exactly: x stays when
+        4*n_max < Nx (n_max the last x slot with a non-zero coefficient;
+        periodic trapezoid rule; a live Nyquist slot stays aliased on
+        2*Nx), y when 2*J <= Ny (J the leading live y modes; interior
+        rectangle rule).  Returns the samples and their unweighted
+        (b = 0) geometry, for the quadrature weights.
         """
-        geom = self.geometry
-        fine = StripGeometry(geom.B, geom.Lx, 2 * geom.Nx, 2 * geom.Ny)
-        pad = np.concatenate([self.coeffs, np.zeros((geom.Nx // 2, geom.Ny))])
-        pad[geom.Nx // 2] /= 2.0  # Nyquist splits into +/- pair
-        return to_grid(pad, fine), fine
+        geom, c = self.geometry, _leading_modes(self.coeffs)
+        rows = np.flatnonzero(c.any(axis=1))
+        fx = 1 if rows.size == 0 or 4 * rows[-1] < geom.Nx else 2
+        fy = 1 if 2 * c.shape[1] <= geom.Ny else 2
+        grid = StripGeometry(geom.B, geom.Lx, fx * geom.Nx, fy * geom.Ny)
+        if fx == 2:
+            c = np.concatenate([c, np.zeros((geom.Nx // 2, c.shape[1]))])
+            c[geom.Nx // 2] /= 2.0  # Nyquist splits into +/- pair
+        return to_grid(c, grid), grid
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +470,6 @@ def make_random_field(geom: StripGeometry, seed: int) -> Field:
         (nx_max + 1, j_max)
     )
     block[0, :] = block[0, :].real  # mean mode of a real field is real
-    coeffs[: nx_max + 1, :j_max] = block
-    l2 = parseval_sums(coeffs, _band(geom).w_l2)[0]
-    return Field(geom, coeffs * float(1.0 / np.sqrt(l2)))
+    l2 = parseval_sums(block, _band(geom).w_l2[: nx_max + 1])[0]
+    coeffs[: nx_max + 1, :j_max] = block * float(1.0 / np.sqrt(l2))
+    return Field(geom, coeffs)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import _modes, _weighted_pairing, weighted_sup
+from .diagnostics import _moments, _modes, weighted_sup
 from .fields import Field, _band, parseval_sums
 
 RELATIVE_SLACK = 1e-10
@@ -97,8 +97,9 @@ def verify_steklov(u: "Field") -> InequalityCheck:
     sine mode; mode j alone gives lhs = rhs / j**2.
     """
     geom, a = u.geometry, _modes(u)
-    lhs = _weighted_pairing(geom, a, a)
-    rhs = (geom.B / math.pi) ** 2 * _weighted_pairing(geom, a, a, dy=True)
+    m = _moments(geom, a, a)[0]
+    lhs = float(np.sum(m))
+    rhs = (geom.B / math.pi) ** 2 * float(geom.eigenvalues()[: len(m)] @ m)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs))
 
 
@@ -106,13 +107,13 @@ def verify_gn(u: "Field") -> InequalityCheck:
     """Plane interpolation bound ||u||_{L4}^2 <= 2 ||u|| ||grad u||.
 
     The field is treated as extended by zero outside the strip.  The L4
-    norm is integrated on a 2x-refined grid so the quartic is alias-free
-    for band-limited fields.
+    norm is a grid sum on the smallest grid that integrates the quartic
+    exactly (:meth:`~zkbstrip.fields.Field.quartic_samples`).
     """
-    vals, fine = u.values_padded()
+    vals, grid = u.quartic_samples()
     sq = vals * vals  # numpy's vals**4 is a libm pow call per element
-    # the one grid sum of the package: unweighted, on the refined grid
-    l4sq = math.sqrt(fine.dy * float(np.sum(fine.dx * sq * sq)))
+    # the one grid sum of the package: unweighted
+    l4sq = math.sqrt(grid.dy * float(np.sum(grid.dx * sq * sq)))
     band = _band(u.geometry)
     l2sq, gradsq = parseval_sums(u.coeffs, band.w_l2, band.w_grad)
     rhs = 2.0 * math.sqrt(l2sq) * math.sqrt(gradsq)
@@ -135,9 +136,11 @@ def verify_sup_lemma(u: "Field",
     geom, b = u.geometry, u.geometry.b
     sup = weighted_sup(u)
     lhs = sup * sup
-    a, ax = _modes(u), _modes(u.dx())
-    dy_sq, dxy_sq = (_weighted_pairing(geom, f, f, dy=True) for f in (a, ax))
-    dx_sq, sq = (_weighted_pairing(geom, f, f) for f in (ax, a))
+    a = _modes(u, dx=True)
+    m, nj = _moments(geom, a, a)[0], a.shape[1] // 2
+    lam = geom.eigenvalues()[:nj]
+    dy_sq, dxy_sq = float(lam @ m[:nj]), float(lam @ m[nj:])
+    dx_sq, sq = float(np.sum(m[nj:])), float(np.sum(m[:nj]))
     rhs = [
         delta * (1.0 + 2.0 * b * b) * dy_sq
         + 2.0 * delta * dxy_sq

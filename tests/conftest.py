@@ -5,7 +5,7 @@ import pytest
 from scipy.fft import dst, irfft, rfft
 
 from zkbstrip import Field, StripGeometry, run
-from zkbstrip.diagnostics import _modes, _weighted_pairing
+from zkbstrip.diagnostics import _moments, _modes
 from zkbstrip.fields import _band
 
 
@@ -36,9 +36,10 @@ def reference_to_grid(coeffs, g):
 
 
 def weighted_dy_sq(u):
-    """(exp(2bx), u_y^2) by the package's mode-space pairing."""
+    """(exp(2bx), u_y^2) by the package's mode-space moments."""
     a = _modes(u)
-    return _weighted_pairing(u.geometry, a, a, dy=True)
+    m = _moments(u.geometry, a, a)[0]
+    return float(u.geometry.eigenvalues()[: len(m)] @ m)
 
 
 # Triple-product coupling oracle: the exact y-integral of three modes,
@@ -92,7 +93,7 @@ def final_field(u0, cfg):
 def paper_ref():
     """Reference decay run (B=pi, Lx=30, 1024x32, t_end=40), computed once.
 
-    Takes about 25 s (2-vCPU x86-64 VM, one BLAS thread); shared by the
+    Takes 17 to 25 s (2-vCPU x86-64 VM, one BLAS thread); shared by the
     energy-identity and weighted-decay acceptance criteria.
     """
     from zkbstrip.cli import paper_ref_run

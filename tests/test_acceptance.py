@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, tolerances pinned.
 
-Criteria 2, 4 and 5 share the session-scoped reference run (about a
-minute and a half of compute); criterion 10 runs its own three
+Criteria 2, 4 and 5 share the session-scoped reference run (17 to 25 s
+of compute on a 2-vCPU x86-64 VM with one BLAS thread, whose speed
+varies from run to run); criterion 10 runs its own three
 continuous-dependence runs up to the reference run's clean end, and the
 remainder are fast.  Run with ``pytest -v -s
 tests/test_acceptance.py`` to see one verdict line per criterion.

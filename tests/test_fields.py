@@ -11,6 +11,7 @@ from zkbstrip import (
     evaluate_mode,
     make_initial_field,
     make_random_field,
+    verify_gn,
     weighted_inner,
 )
 
@@ -209,7 +210,7 @@ class TestRandomField:
 
     @pytest.mark.parametrize("seed", [0, 1, 1000, 2000, 3000])
     def test_bit_identical_to_scaled_field(self, seed):
-        # the same draw, normalised through a second Field
+        # the same draw, normalised by the Parseval sum of its live block
         geom = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
         nx_max, j_max = geom.Nx // 6, geom.Ny // 3
         rng = np.random.default_rng(seed)
@@ -217,10 +218,16 @@ class TestRandomField:
         shape = (nx_max + 1, j_max)
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         block[0, :] = block[0, :].real
+        l2 = parseval_sums(block, _band(geom).w_l2[: nx_max + 1])[0]
+        c[: nx_max + 1, :j_max] = block * (1.0 / np.sqrt(l2))
+        got = make_random_field(geom, seed)
+        assert np.array_equal(got.coeffs, c)
+        # and, to rounding, normalised through a second Field: the sum
+        # over the full layout adds its zeros in another order
         c[: nx_max + 1, :j_max] = block
         f = Field(geom, c)
-        expected = f * (1.0 / np.sqrt(f.l2sq()))
-        assert np.array_equal(make_random_field(geom, seed).coeffs, expected.coeffs)
+        scaled = (f * (1.0 / np.sqrt(f.l2sq()))).coeffs
+        np.testing.assert_allclose(got.coeffs, scaled, rtol=1e-15, atol=0.0)
 
     def test_band_limits(self, small_geom):
         # the block n <= Nx//6, j <= Ny//3: 21 x 5 on a 128 x 16 grid
@@ -252,15 +259,51 @@ class TestPaddedSynthesis:
         assert np.array_equal(to_grid(lead, fine), to_grid(full, fine))
 
     @pytest.mark.parametrize("Nx,Ny", [(256, 32), (10, 7)])
-    def test_values_padded_matches_full_padding(self, Nx, Ny):
+    def test_quartic_samples_match_full_padding(self, Nx, Ny):
+        # a full-band field needs the (2Nx, 2Ny) grid
         geom = StripGeometry(B=np.pi, Lx=10.0, Nx=Nx, Ny=Ny, b=0.1)
         u = Field(geom, _random_coeffs(Nx, Ny, seed=3))
-        vals, fine = u.values_padded()
+        vals, fine = u.quartic_samples()
         assert (fine.Nx, fine.Ny) == (2 * Nx, 2 * Ny)
-        pad = np.zeros((Nx + 1, 2 * Ny), complex)
-        pad[: Nx // 2 + 1, :Ny] = u.coeffs
-        pad[Nx // 2] /= 2.0  # the Nyquist slot splits into a +/- pair
+        pad = _padded(u.coeffs)
         assert np.array_equal(vals, to_grid(pad, fine))
         # and the scipy reference transform of the same padding
         err = np.max(np.abs(vals - reference_to_grid(pad, fine)))
         assert err < 1e-13 * np.max(np.abs(vals))
+
+
+def _padded(c):
+    """Coefficients (Nx//2+1, Ny) -> their (Nx+1, 2Ny) zero padding for
+    the (2Nx, 2Ny) grid; the Nyquist slot splits into a +/- pair."""
+    Nx, Ny = 2 * (len(c) - 1), c.shape[1]
+    pad = np.zeros((Nx + 1, 2 * Ny), complex)
+    pad[: Nx // 2 + 1, :Ny] = c
+    pad[Nx // 2] /= 2.0
+    return pad
+
+
+class TestQuarticGrid:
+    """u**4 is integrated on the field's own grid in each direction
+    where the quadrature is exact there: x when 4*n_max < Nx, y when
+    2*J <= Ny; on the doubled grid otherwise."""
+
+    @pytest.mark.parametrize("Nx,Ny,n_max,J,grid", [
+        (64, 16, 15, 3, (64, 16)),  # n_max = Nx/4 - 1
+        (64, 16, 16, 3, (128, 16)),  # n_max = Nx/4
+        (64, 16, 10, 8, (64, 16)),  # J = Ny/2
+        (64, 16, 10, 9, (64, 32)),  # J = Ny/2 + 1
+        (64, 7, 10, 3, (64, 7)),  # odd Ny: J = (Ny - 1)/2
+        (64, 7, 10, 4, (64, 14)),  # odd Ny: J = (Ny + 1)/2
+        (64, 16, 16, 9, (128, 32)),
+    ])
+    def test_l4_matches_doubled_grid(self, Nx, Ny, n_max, J, grid):
+        geom = StripGeometry(B=np.pi, Lx=10.0, Nx=Nx, Ny=Ny, b=0.1)
+        c = np.zeros((Nx // 2 + 1, Ny), complex)
+        c[: n_max + 1, :J] = _random_coeffs(2 * n_max, J, seed=n_max + J)
+        u = Field(geom, c)
+        _, chosen = u.quartic_samples()
+        assert (chosen.Nx, chosen.Ny) == grid
+        fine = StripGeometry(B=np.pi, Lx=10.0, Nx=2 * Nx, Ny=2 * Ny)
+        vals = reference_to_grid(_padded(c), fine)
+        want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
+        assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -19,8 +19,9 @@ def test_star_import():
 
 
 def test_runs_without_scipy():
-    """numpy's FFT is the package's only FFT: importing every module and
-    taking a step loads no scipy (the tests' references do)."""
+    """numpy's FFT is the package's only FFT: importing every module,
+    taking a step and running the corpus verifiers loads no scipy (the
+    tests' references do)."""
     code = (
         "import sys\n"
         "import zkbstrip, zkbstrip.cli\n"
@@ -28,6 +29,8 @@ def test_runs_without_scipy():
         "u = zkbstrip.make_random_field(g, seed=0)\n"
         "series = zkbstrip.run(u, zkbstrip.SolverConfig(dt=1e-3, t_end=1e-3))\n"
         "assert len(series.samples) == 2\n"
+        "for s in ('steklov', 'gn', 'sup'):\n"
+        "    assert zkbstrip.cli.verify_suite(s, 1, 0)['all_hold']\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(zkbstrip.__file__).resolve().parents[1])

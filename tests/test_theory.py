@@ -20,6 +20,7 @@ from zkbstrip import (
     weighted_inner,
 )
 from zkbstrip import theory
+from zkbstrip.diagnostics import _moments, _modes
 
 from conftest import weighted_dy_sq
 
@@ -153,7 +154,7 @@ class TestGagliardoNirenberg:
         assert verify_gn(fld).holds
 
     def test_lhs_matches_pow_quadrature(self):
-        # ||u||_{L4}^2 from vals**4 on the refined grid, where every
+        # ||u||_{L4}^2 from vals**4 on the quadrature grid, where every
         # trapezoid weight in x is dx (no weighting)
         fld, _, _ = make_initial_field(
             InitialData(kind="gaussian_mode", amplitude=0.7, s=1.2, j=2),
@@ -161,8 +162,8 @@ class TestGagliardoNirenberg:
         )
         corpus = [make_random_field(VERIF_GEOM, seed=s) for s in range(20)]
         for u in [*corpus, fld]:
-            vals, fine = u.values_padded()
-            ref = math.sqrt(fine.dx * fine.dy * float(np.sum(vals**4)))
+            vals, grid = u.quartic_samples()
+            ref = math.sqrt(grid.dx * grid.dy * float(np.sum(vals**4)))
             assert verify_gn(u).lhs == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
@@ -210,7 +211,7 @@ class TestSupLemma:
             raise AssertionError("integral computed before validation")
 
         monkeypatch.setattr(theory, "_modes", no_work)
-        monkeypatch.setattr(theory, "_weighted_pairing", no_work)
+        monkeypatch.setattr(theory, "_moments", no_work)
         pairs = [(0.1, 1.0), (1.0, 1.0), (10.0, 1.0)]
         pairs[position] = bad
         u = make_random_field(VERIF_GEOM, seed=0)
@@ -218,25 +219,39 @@ class TestSupLemma:
             verify_sup_lemma(u, tuple(pairs))
 
     def test_shared_integrals_match_per_pair_evaluation(self):
-        b = VERIF_GEOM.b
+        b, lam = VERIF_GEOM.b, VERIF_GEOM.eigenvalues()
         for seed in range(20):
             u = make_random_field(VERIF_GEOM, seed=seed)
             ux = u.dx()
             weight = np.exp(b * VERIF_GEOM.x_grid())[:, None]
             sup = float(np.max(np.abs(weight * u.values)))
+            # the moments of u and u_x side by side, from two transforms
+            a = np.hstack([_modes(u), _modes(ux)])
+            nj = a.shape[1] // 2
+            m = _moments(VERIF_GEOM, a, a)[0]
+            shared = (lam[:nj] @ m[:nj], lam[:nj] @ m[nj:], np.sum(m[nj:]),
+                      np.sum(m[:nj]))
+            # each integral of one field alone, by a moment product of
+            # its own width, which BLAS may sum in another order
+            alone = (weighted_dy_sq(u), weighted_dy_sq(ux),
+                     weighted_inner(ux, ux), weighted_inner(u, u))
+            assert shared == pytest.approx(alone, rel=1e-14, abs=0.0)
             checks = verify_sup_lemma(u, self.PAIRS)
             assert len(checks) == len(self.PAIRS)
             for (delta, delta1), check in zip(self.PAIRS, checks):
                 # the lemma's rhs, evaluated afresh for this pair alone
-                rhs = (
-                    delta * (1.0 + 2.0 * b * b) * weighted_dy_sq(u)
-                    + 2.0 * delta * weighted_dy_sq(ux)
-                    + (2.0 * delta1 / delta) * weighted_inner(ux, ux)
-                    + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b)
-                    * weighted_inner(u, u)
-                )
+                def rhs(dy_sq, dxy_sq, dx_sq, sq):
+                    return (
+                        delta * (1.0 + 2.0 * b * b) * float(dy_sq)
+                        + 2.0 * delta * float(dxy_sq)
+                        + (2.0 * delta1 / delta) * float(dx_sq)
+                        + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b)
+                        * float(sq)
+                    )
+
+                assert check.rhs == rhs(*shared)
+                assert check.rhs == pytest.approx(rhs(*alone), rel=1e-14, abs=0.0)
                 assert check.lhs == sup * sup
-                assert check.rhs == rhs
                 assert check.holds
 
 
