@@ -9,7 +9,8 @@ fit-decay  : fit an exponential rate from a stored run, compare to chi
 sweep      : grid of (width, amplitude) cells with per-cell verdicts
 cdep       : two-run continuous-dependence experiment
 
-Exit codes: 0 clean, 1 usage/IO error, 2 contamination flag, 3 blow-up.
+Exit codes: 0 clean, 1 usage/IO error or a failed check (verification,
+fit, sweep cell, cdep stability), 2 contamination flag, 3 blow-up.
 """
 
 from __future__ import annotations
@@ -574,24 +575,19 @@ def _sweep_cell(template_json: str, B: float, amp_frac: float, out_dir: str):
         "chi": consts.chi,
         "status": "",
         "fitted_rate": math.nan,
-        "compliant": "",
     }
-    cell_dir = Path(out_dir)
+    passed = False  # a cell that blows up or errors fails
     try:
-        series, _ = _execute_run(config, cell_dir)
+        series, _ = _execute_run(config, Path(out_dir))
         row["status"] = series.status
         fit, _, passed = _fit_decay(series, config, "w_l2")
         row["fitted_rate"] = fit.rate
-        if row["within_threshold"]:
-            row["compliant"] = "pass" if passed else "fail"
-        else:
-            row["compliant"] = "outside theorem scope"
     except BlowUpError:
         row["status"] = "blow-up"
-        row["compliant"] = "fail" if row["within_threshold"] else "outside theorem scope"
     except ValueError as exc:
         row["status"] = f"error: {exc}"
-        row["compliant"] = "fail" if row["within_threshold"] else "outside theorem scope"
+    row["compliant"] = ("outside theorem scope" if not verdict.ok
+                        else "pass" if passed else "fail")
     return row
 
 
@@ -677,7 +673,7 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
     clean = []  # coefficients of the base run's clean samples
 
     def keep_clean(sample, u) -> bool:
-        if sample.tail > CONTAMINATION_THRESHOLD:
+        if sample.contaminated:
             return True
         clean.append(u.coeffs)
         return False

@@ -9,8 +9,9 @@ orthogonal on the interior y grid, so sum_j a^f_j a^g_j equals the
 interior rectangle rule dy * sum_m f(x, y_m) g(x, y_m) exactly, and
 sum_j lambda_j a^f_j a^g_j is the exact integral of f_y g_y (a cosine
 series, which the rectangle rule would not integrate exactly).  Every
-pairing is a sum or a lambda_j-dot of the moments of :func:`_moments`;
-only the weighted sup builds grid values.
+pairing is a sum or a lambda_j-dot of the moments of :func:`_moments`,
+and the weighted sup is a grid maximum made from the same amplitudes,
+so each diagnostic makes one x transform per field.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def weighted_inner(f: Field, g: Field) -> float:
     return float(np.sum(_moments(f.geometry, fa, ga)[0]))
 
 
-def weighted_sup(u: Field) -> float:
-    """Grid maximum of |exp(bx) u|."""
-    return float(np.max(np.abs(_band(u.geometry).w_sup[:, None] * u.values)))
+def weighted_sup(geom: StripGeometry, a: np.ndarray) -> float:
+    """Grid maximum of |exp(bx) u|, from u's amplitudes a (:func:`_modes`)."""
+    band = _band(geom)
+    return float(np.max(np.abs(band.w_sup[:, None] * band.grid(a))))
 
 
 def tail_mass(u: Field) -> float:
@@ -89,6 +91,11 @@ class NormSample:
     sup_w: float
     tail: float
 
+    @property
+    def contaminated(self) -> bool:
+        """Whether the tail mass exceeds the contamination threshold."""
+        return self.tail > CONTAMINATION_THRESHOLD
+
 
 # the norms a TimeSeries holds per sample: every field but t
 NORM_COLUMNS = tuple(f.name for f in fields(NormSample))[1:]
@@ -104,7 +111,7 @@ def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
             + float(geom.eigenvalues()[:nj] @ m[0, :nj]))
     tail = float(np.sum(m[1, :nj])) / w_l2 if w_l2 != 0.0 else 0.0
     return NormSample(t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
-                      sup_w=weighted_sup(u), tail=tail)
+                      sup_w=weighted_sup(geom, a[:, :nj]), tail=tail)
 
 
 @dataclass
@@ -119,8 +126,7 @@ class TimeSeries:
     def contaminated_at(self) -> float | None:
         """Time of the first sample whose tail mass exceeds the
         threshold; None for a clean run."""
-        return next((s.t for s in self.samples
-                     if s.tail > CONTAMINATION_THRESHOLD), None)
+        return next((s.t for s in self.samples if s.contaminated), None)
 
     @property
     def status(self) -> str:

@@ -9,16 +9,18 @@ implied by conjugate symmetry) and w_j the orthonormal Dirichlet sine
 modes.  Real-valuedness and the Dirichlet trace are enforced by the
 representation itself.  The one transform between coefficients and grid
 samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
-serves both the views of a Field and the stepper's dealiased square,
-and holds every other read-only table of its geometry.  The x FFTs are
-numpy's, which write into given arrays.  The band keeps its odd y
-modes first: the odd sine modes are even about y = B/2, so data with no
-even mode (an exactly zero even block) is squared from its odd block on
-the top half of the grid alone.  The dealiased square copies its band
-into a zero-tailed padded buffer before the x irfft (numpy's own
-zero-padding inside the transform is slower) and returns one of its
-scratch arrays; its band is shared through a cache, so that is safe
-from one call to the next, but not across threads.
+serves the stepper's dealiased square and every reader of a Field (an
+x transform to the amplitudes a_j(x) of its y modes, then one sine
+product for grid values), and holds every other read-only table of its
+geometry.  The x FFTs are numpy's, which write into given arrays.  The
+band keeps its odd y modes first: the odd sine modes are even about
+y = B/2, so data with no even mode (an exactly zero even block) is
+squared from its odd block on the top half of the grid alone.  The
+dealiased square copies its band into a zero-tailed padded buffer
+before the x irfft (numpy's own zero-padding inside the transform is
+slower) and returns one of its scratch arrays; its band is shared
+through a cache, so that is safe from one call to the next, but not
+across threads.
 """
 
 from __future__ import annotations
@@ -75,12 +77,15 @@ class _Band:
     scratch arrays made on its first call, so a band that only serves
     the transforms below never holds them; the rfft output is also the
     padded irfft input of the next call.  One band per geometry also serves
-    :func:`to_grid`, :func:`to_spectral` and :meth:`x_modes`, which
-    take every y mode of the full sine matrix and scale after the sine
-    product, as a plain type-I DST does: a scale folded into the matrix
-    rounds the sampled initial data differently, and long contaminated
-    runs amplify that last bit to 1e-13 in the tail mass.  Every table
-    derived from the geometry is built here, once, and frozen.
+    :func:`to_spectral` and, outside the stepper, the one way from
+    coefficients to grid values: :meth:`x_modes`, the amplitudes every
+    diagnostic reads, then :meth:`grid` (:func:`to_grid` composes the
+    two).  These take every y mode of the full sine matrix and scale
+    after the sine product, as a plain type-I DST does: a scale folded
+    into the matrix rounds the sampled initial data differently, and
+    long contaminated runs amplify that last bit to 1e-13 in the tail
+    mass.  Every table derived from the geometry is built here, once,
+    and frozen.
     """
 
     def __init__(self, geom: StripGeometry):
@@ -91,12 +96,12 @@ class _Band:
         # type-I DST matrix: sine mode j = 1..Ny on the interior point y_m
         m = np.arange(1, geom.Ny + 1)
         self.sines = np.sin(np.pi * np.outer(m, m) / (geom.Ny + 1))
-        self.grid_scale = geom.Nx * math.sqrt(2.0 / geom.B)
+        self.mode_scale = math.sqrt(2.0 / geom.B)
         self.coeff_scale = math.sqrt(2.0 * geom.B) / ((geom.Ny + 1) * geom.Nx)
         # band rows: the odd modes j = 1, 3, ... first, then the even ones
         self.order = np.r_[0:nj:2, 1:nj:2]
         self.n_odd = (nj + 1) // 2
-        self.synthesis = self.grid_scale * self.sines[:, self.order]
+        self.synthesis = (geom.Nx * self.mode_scale) * self.sines[:, self.order]
         self.analysis = self.sines[:, self.order].T * self.coeff_scale
         # the odd block's half grid: the top Ny//2 rows stand for their
         # mirrors too, the unpaired middle row (Ny odd) for itself
@@ -154,6 +159,11 @@ class _Band:
             c = np.concatenate([c, c * self.ik], axis=1)
         return irfft(c, n=self.geom.Nx, axis=0) * self.geom.Nx
 
+    def grid(self, a: np.ndarray) -> np.ndarray:
+        """(Nx, J) amplitudes of the leading J y modes (:meth:`x_modes`)
+        -> (Nx, Ny) grid values, by one sine product in y."""
+        return (a @ self.sines[:, : a.shape[1]].T) * self.mode_scale
+
     def square(self, a: np.ndarray) -> np.ndarray:
         """(u**2)^ on the band, from the band coefficients a of u, in a
         scratch array that the next call overwrites.  An a of only the
@@ -203,15 +213,10 @@ def _leading_modes(coeffs: np.ndarray) -> np.ndarray:
 
 
 def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
-    """Coefficients (Nx//2+1, J) of the first J <= Ny y modes -> grid (Nx, Ny).
-
-    Trailing all-zero modes are skipped: the transform is bit-identical
-    to the one over them.
-    """
+    """Coefficients (Nx//2+1, J) of the first J <= Ny y modes -> grid
+    (Nx, Ny): :meth:`_Band.x_modes`, then :meth:`_Band.grid`."""
     band = _band(geom)
-    coeffs = _leading_modes(coeffs)
-    sines = band.sines[:, : coeffs.shape[1]]
-    return (irfft(coeffs, n=geom.Nx, axis=0) @ sines.T) * band.grid_scale
+    return band.grid(band.x_modes(coeffs))
 
 
 def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]:
@@ -252,9 +257,8 @@ def _summed_power(flat: np.ndarray, axis: int) -> np.ndarray:
 class Field:
     """Immutable real field on the strip with a spectral view.
 
-    Construct from coefficients or via :meth:`from_values`.  The grid
-    view is synthesised on each access, not cached: the package reads a
-    field's grid only once, in the weighted sup.
+    Construct from coefficients or via :meth:`from_values`; its grid
+    values are ``to_grid(coeffs, geometry)``.
     """
 
     __slots__ = ("geometry", "coeffs")
@@ -290,12 +294,6 @@ class Field:
     def zeros(cls, geometry: StripGeometry) -> "Field":
         return cls(geometry, np.zeros((geometry.Nx // 2 + 1, geometry.Ny), complex))
 
-    # -- views ---------------------------------------------------------
-
-    @property
-    def values(self) -> np.ndarray:
-        return to_grid(self.coeffs, self.geometry)
-
     # -- calculus ------------------------------------------------------
 
     def dx(self) -> "Field":
@@ -329,21 +327,21 @@ class Field:
     __rmul__ = __mul__
 
     def quartic_samples(self) -> tuple[np.ndarray, StripGeometry]:
-        """Field sampled on the smallest grid, of Nx or 2*Nx by Ny or
-        2*Ny points, that integrates u**4 exactly: x stays when
-        4*n_max < Nx (n_max the last x slot with a non-zero coefficient;
-        periodic trapezoid rule; a live Nyquist slot stays aliased on
-        2*Nx), y when 2*J <= Ny (J the leading live y modes; interior
-        rectangle rule).  Returns the samples and their unweighted
-        (b = 0) geometry, for the quadrature weights.
+        """Field sampled on the smallest grid, of fx*Nx by fy*Ny points,
+        that integrates u**4 exactly: fx the least of 1, 2, 4 with
+        4*n_max < fx*Nx (n_max the last x slot with a non-zero
+        coefficient; periodic trapezoid rule; only a live Nyquist slot
+        needs 4*Nx), fy = 1 when 2*J <= Ny (J the leading live y modes;
+        interior rectangle rule) and 2 otherwise.  Returns the samples
+        and their unweighted (b = 0) geometry, for the quadrature weights.
         """
         geom, c = self.geometry, _leading_modes(self.coeffs)
-        rows = np.flatnonzero(c.any(axis=1))
-        fx = 1 if rows.size == 0 or 4 * rows[-1] < geom.Nx else 2
+        n_max = np.flatnonzero(c.any(axis=1)).max(initial=0)
+        fx = next(f for f in (1, 2, 4) if 4 * n_max < f * geom.Nx)
         fy = 1 if 2 * c.shape[1] <= geom.Ny else 2
         grid = StripGeometry(geom.B, geom.Lx, fx * geom.Nx, fy * geom.Ny)
-        if fx == 2:
-            c = np.concatenate([c, np.zeros((geom.Nx // 2, c.shape[1]))])
+        if fx > 1:
+            c = np.pad(c, ((0, (fx - 1) * geom.Nx // 2), (0, 0)))
             c[geom.Nx // 2] /= 2.0  # Nyquist splits into +/- pair
         return to_grid(c, grid), grid
 

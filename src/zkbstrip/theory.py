@@ -134,10 +134,10 @@ def verify_sup_lemma(u: "Field",
     if not all(delta > 0 and delta1 > 0 for delta, delta1 in pairs):
         raise ValueError(f"delta and delta1 must be positive, got {pairs}")
     geom, b = u.geometry, u.geometry.b
-    sup = weighted_sup(u)
-    lhs = sup * sup
     a = _modes(u, dx=True)
     m, nj = _moments(geom, a, a)[0], a.shape[1] // 2
+    sup = weighted_sup(geom, a[:, :nj])
+    lhs = sup * sup
     lam = geom.eigenvalues()[:nj]
     dy_sq, dxy_sq = float(lam @ m[:nj]), float(lam @ m[nj:])
     dx_sq, sq = float(np.sum(m[nj:])), float(np.sum(m[:nj]))

@@ -32,6 +32,7 @@ from zkbstrip import (
     verify_sup_lemma,
 )
 from zkbstrip.diagnostics import CONTAMINATION_THRESHOLD
+from zkbstrip.fields import to_grid
 
 from conftest import (
     coupling_coefficient,
@@ -164,7 +165,8 @@ def test_criterion_8_coupling_oracle_equivalence():
     x = geom.x_grid()
     w1 = evaluate_mode(1, geom.y_grid(), geom.B)
     u = Field.from_values(geom, np.sin(x)[:, None] * w1[None, :])
-    modal = reference_sine_coeffs(nonlinear_term(u).values, geom, axis=1)
+    grid = to_grid(nonlinear_term(u).coeffs, geom)
+    modal = reference_sine_coeffs(grid, geom, axis=1)
     target = 0.5 * np.sin(2 * x)
     worst = 0.0
     for j in range(1, 10):

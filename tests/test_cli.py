@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zkbstrip import InitialData, make_initial_field, run, weighted_inner
+from zkbstrip import (
+    InitialData,
+    energy_residual,
+    make_initial_field,
+    run,
+    weighted_inner,
+)
 from zkbstrip import cli
 from zkbstrip.cli import (
     CSV_HEADER,
@@ -39,6 +45,15 @@ def base_doc(**overrides):
         else:
             doc[key] = val
     return doc
+
+
+# dt = 1 on a 32 x 4 grid: the run blows up at t = 1
+BLOW_UP_DOC = {
+    "schema": 1,
+    "geometry": {"B": math.pi, "Lx": 10.0, "Nx": 32, "Ny": 4, "b": 0.0},
+    "solver": {"dt": 1.0, "t_end": 30.0},
+    "initial": {"kind": "gaussian_mode", "amplitude": 40.0, "s": 2.0},
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -305,19 +320,51 @@ class TestSimulateCommand:
         assert manifest["status"] == "contaminated"
         assert "contaminated_at" in manifest
 
-    def test_blow_up_exit_code_and_manifest(self, tmp_path):
-        doc = {
-            "schema": 1,
-            "geometry": {"B": math.pi, "Lx": 10.0, "Nx": 32, "Ny": 4, "b": 0.0},
-            "solver": {"dt": 1.0, "t_end": 30.0},
-            "initial": {"kind": "gaussian_mode", "amplitude": 40.0, "s": 2.0},
-        }
-        cfg_path = write_config(tmp_path, doc)
+    def test_blow_up_exit_code_and_manifest(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BLOW_UP_DOC)
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 3
         manifest = read_manifest(out)
         assert manifest["status"] == "blow-up"
         assert manifest["blow_up_time"] > 0
+        # and no decay fit is made from it
+        capsys.readouterr()
+        assert main(["fit-decay", "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == "error: run blew up; no decay fit possible\n")
+
+    # each rejection names what it rejects
+    @pytest.mark.parametrize("doc,named", [
+        ([base_doc()], "config document must be a JSON object"),
+        ({**base_doc(), "solver": [1.0]},
+         "type mismatch at solver: expected object"),
+        ({k: v for k, v in base_doc().items() if k != "geometry"},
+         "missing required key: geometry"),
+        (base_doc(geometry={"b": "x"}),
+         'type mismatch at geometry.b: expected number or "auto"'),
+        (base_doc(experiment={"thresholds": "strong"}),
+         "invalid experiment block: thresholds must be 'regular' or 'weak'"),
+        (base_doc(initial={"kind": 3}),
+         "type mismatch at initial.kind: expected string"),
+        (base_doc(initial={"s": 0}),
+         "invalid initial block: gaussian width s must be positive"),
+        (base_doc(initial={"kind": "custom_samples"}),
+         "invalid initial block: custom_samples requires explicit values"),
+        # the Nyquist slot of Nx = 128 is n = 64, k = 64*pi/Lx
+        (base_doc(initial={"kind": "single_mode", "k": 65 * math.pi / 12}),
+         f"wavenumber k={65 * math.pi / 12} not representable on the grid"),
+        (base_doc(initial={"amplitude": 0.0, "target_l2_norm": 0.1}),
+         "cannot rescale a zero field to a target norm"),
+    ], ids=["document", "block", "missing-block", "weight-rate", "thresholds",
+            "kind", "gaussian-width", "custom-without-values",
+            "beyond-nyquist", "zero-to-target"])
+    def test_rejected_config_exits_1(self, tmp_path, capsys, doc, named):
+        cfg_path = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", cfg_path,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and "Traceback" not in err
 
     def test_bad_config_exit(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -366,6 +413,20 @@ class TestFitDecayCommand:
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["fit-decay", "--out", str(tmp_path / "ghost")]) == 1
+
+    def test_window_into_contaminated_segment(self, tmp_path, capsys):
+        # contaminated at t = 0.14 on this 64 x 16 grid, clean until 0.13
+        doc = base_doc(geometry={"Lx": 6.0, "Nx": 64},
+                       solver={"t_end": 0.5, "output_every": 10})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert main(["fit-decay", "--out", str(out), "--t1", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit window [")
+        assert err.endswith("reaches into the contaminated segment "
+                            "(clean until t = 0.13)\n")
 
     def test_empty_series_is_usage_error(self, tmp_path, capsys):
         # a checksummed run directory whose series.csv is empty
@@ -518,9 +579,18 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "sup", "--samples", "10",
                      "--seed", "5"]) == 0
 
+    def test_energy_suite(self, paper_ref):
+        # sample 0 is the reference run of the paper_ref fixture, made once
+        _, series = paper_ref
+        report = verify_suite("energy", 3, 0)
+        residuals = report["residuals"]
+        assert len(residuals) == 3
+        assert residuals[0] == energy_residual(series)
+        assert report["worst_residual"] == max(residuals)
+        assert report["all_hold"] is True
+
     def test_small_energy_samples(self):
-        # index >= 1 samples are short seeded runs; sample 0 (the full
-        # reference run) is exercised by the acceptance suite
+        # index >= 1 samples are short seeded runs
         from zkbstrip.cli import _energy_sample
 
         assert _energy_sample(1, seed=0) < 1e-6
@@ -712,6 +782,16 @@ class TestSweepCommand:
         assert rows[1][6] == "error: need >= 10 samples in [0.05, 0.1], found 6"
         assert rows[1][7:] == ["nan", "fail"]
 
+    def test_blown_up_cell(self, tmp_path):
+        # 200 x the regular threshold 0.375: a norm of 75 blows up
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", write_config(tmp_path, BLOW_UP_DOC),
+                     "--B", str(math.pi), "--amps", "200", "--out", str(out)])
+        assert code == 0  # a cell outside theorem scope fails no verdict
+        text = (out / "summary.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[1][6:] == ["blow-up", "nan", "outside theorem scope"]
+
     def test_parallel_workers_match_serial(self, tmp_path):
         doc = base_doc(solver={"t_end": 0.5, "output_every": 10})
         cfg_path = write_config(tmp_path, doc)
@@ -843,6 +923,16 @@ class TestCdepCommand:
         cfg_path = write_config(tmp_path, base_doc(solver={"t_end": 0.5}))
         assert main(["cdep", "--config", cfg_path, f"--eps={eps}"]) == 1
         assert capsys.readouterr().err == "error: eps must be finite and > 0\n"
+
+    def test_blow_up_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "cdep"
+        code = main(["cdep", "--config", write_config(tmp_path, BLOW_UP_DOC),
+                     "--eps", "1e-3", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"blow-up at t = \S+ during continuous-dependence runs\n", err)
+        assert not (out / "cdep.json").exists()
 
     def test_base_contaminated_at_start(self, tmp_path, capsys):
         # periodic single-mode data fills the tail bands from t = 0

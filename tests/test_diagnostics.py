@@ -20,10 +20,14 @@ from zkbstrip import (
     make_random_field,
     run,
     tail_mass,
+    verify_gn,
+    verify_steklov,
+    verify_sup_lemma,
     weighted_inner,
 )
-from zkbstrip.diagnostics import weighted_sup
-from zkbstrip.fields import _band, to_grid
+from zkbstrip import fields as fields_module
+from zkbstrip.diagnostics import _modes, sample_field, weighted_sup
+from zkbstrip.fields import _Band, _band, to_grid
 
 from conftest import weighted_dy_sq
 
@@ -188,7 +192,7 @@ class TestModeSpacePairing:
         f = Field(g, _coeffs_with_modes(g, n_f, seed=n_f))
         h = Field(g, _coeffs_with_modes(g, n_g, seed=100 + n_g))
         for a, c in ((f, f), (f, h), (h, f), (h, h)):
-            expected = _grid_quad(g, a.values, c.values)
+            expected = _grid_quad(g, to_grid(a.coeffs, g), to_grid(c.coeffs, g))
             assert weighted_inner(a, c) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("n_live", [32, 10, 1])
@@ -216,12 +220,13 @@ class TestModeSpacePairing:
         grid = (irfft(c, n=g.Nx, axis=0) @ _band(g).sines.T) * (
             g.Nx * math.sqrt(2.0 / g.B))
         assert np.array_equal(to_grid(c, g), grid)
-        assert np.array_equal(Field(g, c).values, grid)
 
     def test_zero_field(self):
         z = Field.zeros(self.GEOM)
-        assert z.values.shape == (self.GEOM.Nx, self.GEOM.Ny)
-        assert np.all(z.values == 0.0)
+        grid = to_grid(z.coeffs, self.GEOM)
+        assert grid.shape == (self.GEOM.Nx, self.GEOM.Ny)
+        assert np.all(grid == 0.0)
+        assert weighted_sup(self.GEOM, _modes(z)) == 0.0
         assert tail_mass(z) == 0.0
         assert weighted_dy_sq(z) == 0.0
 
@@ -229,10 +234,64 @@ class TestModeSpacePairing:
         g = self.GEOM
         u = make_random_field(g, seed=3)
         fresh = np.exp(g.b * g.x_grid())[:, None]
-        assert weighted_sup(u) == float(np.max(np.abs(fresh * u.values)))
+        grid = to_grid(u.coeffs, g)
+        assert weighted_sup(g, _modes(u)) == float(np.max(np.abs(fresh * grid)))
         mult = 1j * g.wavenumbers()
         mult[-1] = 0.0
         assert np.array_equal(u.dx().coeffs, u.coeffs * mult[:, None])
+
+
+def _spy(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that appends name to log."""
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        log.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+class TestOneSynthesis:
+    """The mode amplitudes are the one way from coefficients to grid
+    values: every diagnostic makes one x transform per field."""
+
+    GEOM = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
+
+    @pytest.mark.parametrize("diagnostic", [
+        lambda u: sample_field(u, t=0.0, l2=u.l2sq(), diss_cum=0.0),
+        lambda u: verify_sup_lemma(u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
+        verify_steklov,
+        verify_gn,
+        tail_mass,
+    ], ids=["sample_field", "verify_sup_lemma", "verify_steklov", "verify_gn",
+            "tail_mass"])
+    def test_one_x_transform_per_field(self, monkeypatch, diagnostic):
+        # corpus fields, sampled data with a live Nyquist slot (GN's 4Nx
+        # grid) and an even mode, and a zero field
+        us = [make_random_field(self.GEOM, seed=s) for s in range(2)]
+        us += [gaussian_mode_field(self.GEOM, j=2), Field.zeros(self.GEOM)]
+        log = []
+        _spy(monkeypatch, fields_module, "irfft", log)
+        for u in us:
+            diagnostic(u)
+        assert len(log) == len(us)
+
+    def test_to_grid_and_sup_share_the_sine_product(self, monkeypatch):
+        assert not hasattr(Field, "values")
+        log = []
+        _spy(monkeypatch, fields_module, "irfft", log)
+        for name in ("x_modes", "grid"):
+            _spy(monkeypatch, _Band, name, log)
+        u = make_random_field(self.GEOM, seed=4)
+        grid = to_grid(u.coeffs, self.GEOM)
+        assert log == ["x_modes", "irfft", "grid"]
+        a = _modes(u)
+        log.clear()
+        sup = weighted_sup(self.GEOM, a)
+        assert log == ["grid"]
+        weight = np.exp(self.GEOM.b * self.GEOM.x_grid())[:, None]
+        assert sup == float(np.max(np.abs(weight * grid)))
 
 
 class TestFitDecayRate:

@@ -29,7 +29,7 @@ class TestFieldBasics:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((small_geom.Nx, small_geom.Ny))
         f = Field.from_values(small_geom, vals)
-        assert np.max(np.abs(f.values - vals)) < 1e-12
+        assert np.max(np.abs(to_grid(f.coeffs, small_geom) - vals)) < 1e-12
 
     def test_shape_errors(self, small_geom):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestFieldBasics:
         grid = np.fft.ifft(full * small_geom.Nx, axis=0)
         vals = reference_sine_values(grid, small_geom, axis=1)
         assert np.max(np.abs(vals.imag)) < 1e-12
-        assert np.max(np.abs(vals.real - u.values)) < 1e-12
+        assert np.max(np.abs(vals.real - to_grid(u.coeffs, small_geom))) < 1e-12
 
 
 class TestRealRows:
@@ -87,7 +87,7 @@ class TestRealRows:
         c = np.zeros((9, 4), complex)
         c[8, 0] = c[0, 1] = 1.0
         u = Field(g, c)
-        assert u.l2sq() > 0.0 and np.any(u.values != 0.0)
+        assert u.l2sq() > 0.0 and np.any(to_grid(u.coeffs, g) != 0.0)
 
 
 class TestDerivatives:
@@ -97,7 +97,7 @@ class TestDerivatives:
         w3 = evaluate_mode(3, g.y_grid(), g.B)
         f = Field.from_values(g, np.sin(2 * x)[:, None] * w3[None, :])
         expected = 2 * np.cos(2 * x)[:, None] * w3[None, :]
-        assert np.max(np.abs(f.dx().values - expected)) < 1e-12
+        assert np.max(np.abs(to_grid(f.dx().coeffs, g) - expected)) < 1e-12
 
     def test_parseval_norms(self, small_geom):
         u = make_random_field(replace(small_geom, b=0.0), seed=9)
@@ -114,7 +114,7 @@ class TestInitialData:
         )
         assert norm == 0.0
         assert tail == 0.0
-        assert np.all(fld.values == 0.0)
+        assert np.all(to_grid(fld.coeffs, small_geom) == 0.0)
 
     def test_single_mode_norm(self):
         # int sin(x)^2 * w1(y)^2 over [-pi,pi)x(0,pi) = pi
@@ -177,7 +177,7 @@ class TestInitialData:
         fld, norm, _ = make_initial_field(
             InitialData(kind="custom_samples", values=vals), small_geom
         )
-        assert np.max(np.abs(fld.values - vals)) < 1e-12
+        assert np.max(np.abs(to_grid(fld.coeffs, small_geom) - vals)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["gaussian_mode", "single_mode"])
     @pytest.mark.parametrize("j", [1, 2, 5])
@@ -260,23 +260,23 @@ class TestPaddedSynthesis:
 
     @pytest.mark.parametrize("Nx,Ny", [(256, 32), (10, 7)])
     def test_quartic_samples_match_full_padding(self, Nx, Ny):
-        # a full-band field needs the (2Nx, 2Ny) grid
+        # a full-band field, its Nyquist slot live, needs the (4Nx, 2Ny) grid
         geom = StripGeometry(B=np.pi, Lx=10.0, Nx=Nx, Ny=Ny, b=0.1)
         u = Field(geom, _random_coeffs(Nx, Ny, seed=3))
         vals, fine = u.quartic_samples()
-        assert (fine.Nx, fine.Ny) == (2 * Nx, 2 * Ny)
-        pad = _padded(u.coeffs)
+        assert (fine.Nx, fine.Ny) == (4 * Nx, 2 * Ny)
+        pad = _padded(u.coeffs, fx=4)
         assert np.array_equal(vals, to_grid(pad, fine))
         # and the scipy reference transform of the same padding
         err = np.max(np.abs(vals - reference_to_grid(pad, fine)))
         assert err < 1e-13 * np.max(np.abs(vals))
 
 
-def _padded(c):
-    """Coefficients (Nx//2+1, Ny) -> their (Nx+1, 2Ny) zero padding for
-    the (2Nx, 2Ny) grid; the Nyquist slot splits into a +/- pair."""
+def _padded(c, fx=2):
+    """Coefficients (Nx//2+1, Ny) -> their (fx*Nx//2+1, 2Ny) zero padding
+    for the (fx*Nx, 2Ny) grid; the Nyquist slot splits into a +/- pair."""
     Nx, Ny = 2 * (len(c) - 1), c.shape[1]
-    pad = np.zeros((Nx + 1, 2 * Ny), complex)
+    pad = np.zeros((fx * Nx // 2 + 1, 2 * Ny), complex)
     pad[: Nx // 2 + 1, :Ny] = c
     pad[Nx // 2] /= 2.0
     return pad
@@ -285,7 +285,8 @@ def _padded(c):
 class TestQuarticGrid:
     """u**4 is integrated on the field's own grid in each direction
     where the quadrature is exact there: x when 4*n_max < Nx, y when
-    2*J <= Ny; on the doubled grid otherwise."""
+    2*J <= Ny; on the doubled grid otherwise, and in x on the 4Nx grid
+    when the Nyquist slot n_max = Nx/2 is live."""
 
     @pytest.mark.parametrize("Nx,Ny,n_max,J,grid", [
         (64, 16, 15, 3, (64, 16)),  # n_max = Nx/4 - 1
@@ -306,4 +307,19 @@ class TestQuarticGrid:
         fine = StripGeometry(B=np.pi, Lx=10.0, Nx=2 * Nx, Ny=2 * Ny)
         vals = reference_to_grid(_padded(c), fine)
         want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
+        assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_live_nyquist_slot_matches_quadrupled_grid(self):
+        # 4*n_max = 2Nx aliases to the mean on the doubled grid, which
+        # read ||u||_L4^2 = 3.0822 for this field, 2.7 % high
+        geom = StripGeometry(B=3.0, Lx=4.0, Nx=16, Ny=4)
+        c = np.zeros((9, 4), complex)
+        c[8, 0], c[1, 0] = 1.0, 0.5
+        u = Field(geom, c)
+        _, chosen = u.quartic_samples()
+        assert (chosen.Nx, chosen.Ny) == (64, 4)
+        fine = StripGeometry(B=3.0, Lx=4.0, Nx=64, Ny=8)
+        vals = reference_to_grid(_padded(c, fx=4), fine)
+        want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
+        assert want == pytest.approx(3.0, rel=1e-14)
         assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
