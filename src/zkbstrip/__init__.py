@@ -29,6 +29,7 @@ from .geometry import (
 from .solver import (
     BlowUpError,
     SolverConfig,
+    evolve,
     linear_symbol,
     run,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "eigenvalue",
     "energy_residual",
     "evaluate_mode",
+    "evolve",
     "fit_decay_rate",
     "linear_symbol",
     "make_initial_field",

@@ -42,9 +42,9 @@ from .diagnostics import (
     fit_decay_rate,
     weighted_inner,
 )
-from .fields import Field, InitialData, make_initial_field, make_random_field
+from .fields import InitialData, make_initial_field, make_random_field
 from .geometry import StripGeometry
-from .solver import BlowUpError, SolverConfig, run
+from .solver import BlowUpError, SolverConfig, evolve, run
 from .theory import (
     check_smallness,
     constants_for_width,
@@ -655,10 +655,11 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
 
     The perturbation is a unit-norm first-mode gaussian bump; factors are
     max over the base run's clean samples of the weighted difference norm
-    over its initial value.  Every run stops at the base run's clean end:
-    the base at its first contaminated sample, the perturbed runs at its
-    last clean one.  The result is stable when both the ratio of the
-    maxima and the ratio of the final factors lie within 10% of 1.
+    over its initial value.  The three runs are stepped in turn, one
+    sample at a time, and stop at the base run's clean end: the base at
+    its first contaminated sample, the perturbed runs at its last clean
+    one.  The result is stable when both the ratio of the maxima and the
+    ratio of the final factors lie within 10% of 1.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
@@ -670,34 +671,21 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
         geom,
     )
 
-    clean = []  # coefficients of the base run's clean samples
-
-    def keep_clean(sample, u) -> bool:
+    base = evolve(base_init.field, config.solver)
+    perturbed = [evolve(base_init.field + e * bump_init.field, config.solver)
+                 for e in (eps, eps / 2.0)]
+    samples = []  # the base run's
+    diffs = ([], [])  # weighted squared differences at eps and eps/2
+    for sample, u in base:
+        samples.append(sample)
         if sample.contaminated:
-            return True
-        clean.append(u.coeffs)
-        return False
-
-    base = run(base_init.field, config.solver, observer=keep_clean)
-    clean_end = base.clean_end()
-
-    def growth_factor(e: float) -> tuple[float, float]:
-        """(max over clean samples, value at the clean end) of the
-        weighted difference norm over its initial value."""
-        diffs = []  # weighted squared differences, one per clean sample
-
-        def compare(sample, u) -> bool:
-            z = Field(geom, u.coeffs - clean[len(diffs)])
-            diffs.append(weighted_inner(z, z))
-            return len(diffs) == len(clean)
-
-        run(base_init.field + e * bump_init.field, config.solver,
-            observer=compare)
-        factors = [d / diffs[0] for d in diffs]
-        return max(factors), factors[-1]
-
-    factor_full, final_full = growth_factor(eps)
-    factor_half, final_half = growth_factor(eps / 2.0)
+            break
+        for d, run_e in zip(diffs, perturbed):
+            z = next(run_e)[1] - u
+            d.append(weighted_inner(z, z))
+    clean_end = TimeSeries(geom, samples).clean_end()
+    (factor_full, final_full), (factor_half, final_half) = (
+        (max(d) / d[0], d[-1] / d[0]) for d in diffs)
     ratio = factor_full / factor_half if factor_half > 0 else math.inf
     final_ratio = final_full / final_half if final_half > 0 else math.inf
     return {

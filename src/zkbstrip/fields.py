@@ -404,12 +404,16 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
     is periodic by construction and used for linear exactness tests, not
     for decay experiments.  Both kinds that sample one sine mode w_j
     keep only its column j - 1 of the transform; the others hold only
-    rounding, and are set to exact zeros.
+    rounding, and are set to exact zeros.  Their mode, and the x slot of
+    single_mode data, must lie in the 2/3 band that a run steps.
     """
     from .diagnostics import tail_mass as _tail_mass
 
+    nb, nj = band_shape(geom)
     if init.j < 1 or init.j > geom.Ny:
         raise ValueError(f"y-mode j={init.j} outside 1..{geom.Ny}")
+    if init.kind != "custom_samples" and init.j > nj:
+        raise ValueError(f"y-mode j={init.j} outside the 2/3 band j <= {nj}")
 
     x = geom.x_grid()
     wj = evaluate_mode(init.j, geom.y_grid(), geom.B)
@@ -425,6 +429,8 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
             )
         if round(n) > geom.Nx // 2:
             raise ValueError(f"wavenumber k={init.k} not representable on the grid")
+        if abs(round(n)) >= nb:
+            raise ValueError(f"wavenumber k={init.k} outside the 2/3 band n < {nb}")
         vals = init.amplitude * np.sin(init.k * (x - init.x0))[:, None] * wj[None, :]
     else:
         vals = np.asarray(init.values, dtype=float) * init.amplitude

@@ -16,11 +16,12 @@ pseudospectrally as 0.5*d/dx(u^2) with 2/3-rule dealiasing, which keeps
 the discrete pairing (u*u_x, u) at exact zero.  The stepper's state holds
 only the coefficients inside the 2/3 band, y modes by x slots with x
 contiguous, odd modes first; the full (Nx//2+1, Ny) layout of a Field is
-rebuilt only for output.  The equation and the Dirichlet conditions are
-unchanged by y -> B - y, so data even about y = B/2 (no even sine mode)
-stays so for all time: when the even block of the initial state is
-exactly zero, with no tolerance, the run steps the odd block alone,
-whose square takes half the y grid.
+rebuilt only for output: :func:`evolve`, the one stepping loop, yields
+each sample with its Field, and :func:`run` keeps the samples alone.
+The equation and the Dirichlet conditions are unchanged by y -> B - y,
+so data even about y = B/2 (no even sine mode) stays so for all time:
+when the even block of the initial state is exactly zero, with no
+tolerance, the run steps the odd block alone, whose square takes half the y grid.
 The factor -0.5*i*k of the derivative is folded into the ETDRK4 weights
 once, so each stage takes the band spectrum of u^2 as it comes from the
 transforms, and a step forms its stages in four buffers of the stepper
@@ -217,17 +218,17 @@ class Stepper:
 _stepper = lru_cache(maxsize=8)(Stepper)
 
 
-def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
-    """Integrate to t_end, sampling diagnostics every output_every steps.
+def evolve(u0: Field, cfg: SolverConfig):
+    """Integrate to t_end, yielding ``(sample, u)``, the diagnostics
+    sample and the Field, at t = 0, every output_every steps and at t_end.
 
-    Returns the diagnostics series, whose status reads "contaminated"
-    (the series is still returned) when the weighted tail mass ever
-    exceeds 1e-6 at a snapshot.  Runs on one geometry with the same dt,
-    convection flag and nonlinear switch share one cached stepper.
+    A caller ends the run by asking for no further sample.  A sample's
+    tail mass above 1e-6 marks it contaminated; the run goes on.  Runs
+    on one geometry with the same dt, convection flag and nonlinear
+    switch share one cached stepper, so runs may be advanced in turn: a
+    step keeps nothing in the stepper from one call to the next.
     Non-finite values or a norm explosion raise :class:`BlowUpError`
-    with the partial series attached.  When given, ``observer(sample,
-    u)`` is called with each recorded sample and its Field; if it
-    returns True, the run ends at that sample.
+    with the samples so far.
     """
     geom = u0.geometry
     check_dispersion_sanity(geom, cfg)
@@ -243,32 +244,32 @@ def run(u0: Field, cfg: SolverConfig, *, observer=None) -> TimeSeries:
             f"t_end = {cfg.t_end} is not an integer number of steps of {cfg.dt}"
         )
 
-    series = TimeSeries(geometry=geom, samples=[])
-
+    samples = []  # for BlowUpError
     l2_0, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
     blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
     diss = 0.0
     f_prev = 2.0 * dxsq
 
-    def record(step_idx: int, l2_now: float) -> bool:
-        """Append a sample; True when the observer ends the run."""
+    def record(step_idx: int, l2_now: float):
         f = Field(geom, st.band.scatter(c))
-        sample = sample_field(f, t=step_idx * cfg.dt, l2=l2_now, diss_cum=diss)
-        series.samples.append(sample)
-        return observer is not None and bool(observer(sample, f))
+        samples.append(sample_field(f, t=step_idx * cfg.dt, l2=l2_now,
+                                    diss_cum=diss))
+        return samples[-1], f
 
-    if record(0, l2_0):
-        n_steps = 0  # the observer ended the run at its first sample
+    yield record(0, l2_0)
     for n in range(1, n_steps + 1):
         c = st.step_erk4(c)
         l2_now, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
         if not math.isfinite(l2_now) or l2_now > blow_limit:
-            raise BlowUpError(n * cfg.dt, l2_now, series)
+            raise BlowUpError(n * cfg.dt, l2_now, TimeSeries(geom, samples))
         f_now = 2.0 * dxsq
         diss += 0.5 * cfg.dt * (f_prev + f_now)
         f_prev = f_now
         if n % cfg.output_every == 0 or n == n_steps:
-            if record(n, l2_now):
-                break
+            yield record(n, l2_now)
 
-    return series
+
+def run(u0: Field, cfg: SolverConfig) -> TimeSeries:
+    """The samples of :func:`evolve`, run to t_end, as a series; its
+    status reads "contaminated" when a sample is."""
+    return TimeSeries(u0.geometry, [sample for sample, _ in evolve(u0, cfg)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import dst, irfft, rfft
 
-from zkbstrip import Field, StripGeometry, run
+from zkbstrip import Field, StripGeometry, evolve
 from zkbstrip.diagnostics import _moments, _modes
 from zkbstrip.fields import _band
 
@@ -83,10 +83,10 @@ def nonlinear_term(u):
 
 
 def final_field(u0, cfg):
-    """The Field of the last sample of ``run(u0, cfg)``."""
-    fields = []
-    run(u0, cfg, observer=lambda sample, u: fields.append(u))
-    return fields[-1]
+    """The Field of the last sample of ``evolve(u0, cfg)``."""
+    for _, u in evolve(u0, cfg):
+        pass
+    return u
 
 
 @pytest.fixture(scope="session")

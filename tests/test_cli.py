@@ -11,9 +11,10 @@ import pytest
 
 from zkbstrip import (
     InitialData,
+    TimeSeries,
     energy_residual,
+    evolve,
     make_initial_field,
-    run,
     weighted_inner,
 )
 from zkbstrip import cli
@@ -355,9 +356,16 @@ class TestSimulateCommand:
          f"wavenumber k={65 * math.pi / 12} not representable on the grid"),
         (base_doc(initial={"amplitude": 0.0, "target_l2_norm": 0.1}),
          "cannot rescale a zero field to a target norm"),
+        # the 2/3 band of a 64 x 12 grid: slots n < 22, modes j <= 8
+        (base_doc(geometry={"Nx": 64, "Ny": 12}, initial={"j": 10}),
+         "y-mode j=10 outside the 2/3 band j <= 8"),
+        (base_doc(geometry={"Nx": 64, "Ny": 12},
+                  initial={"kind": "single_mode", "k": 25 * math.pi / 12}),
+         f"wavenumber k={25 * math.pi / 12} outside the 2/3 band n < 22"),
     ], ids=["document", "block", "missing-block", "weight-rate", "thresholds",
             "kind", "gaussian-width", "custom-without-values",
-            "beyond-nyquist", "zero-to-target"])
+            "beyond-nyquist", "zero-to-target", "mode-beyond-band",
+            "slot-beyond-band"])
     def test_rejected_config_exits_1(self, tmp_path, capsys, doc, named):
         cfg_path = write_config(tmp_path, doc)
         code = main(["simulate", "--config", cfg_path,
@@ -806,8 +814,9 @@ class TestSweepCommand:
 
 
 def reference_cdep(config, eps):
-    """Continuous dependence the long way: three full-length runs whose
-    fields an observer keeps, compared over the base run's clean prefix."""
+    """Continuous dependence the long way: three full-length runs, one
+    after the other, whose fields are all kept and compared over the base
+    run's clean prefix."""
     geom = config.geometry
     base0 = make_initial_field(config.initial, geom).field
     bump = make_initial_field(
@@ -817,9 +826,8 @@ def reference_cdep(config, eps):
     ).field
 
     def fields_of(u0):
-        kept = []
-        series = run(u0, config.solver, observer=lambda s, u: kept.append(u))
-        return series, kept
+        samples, kept = zip(*evolve(u0, config.solver))
+        return TimeSeries(geom, list(samples)), kept
 
     base, base_fields = fields_of(base0)
     clean_end = base.clean_end()
@@ -849,11 +857,15 @@ class TestCdepCommand:
 
         runs = []
 
-        def spy(u0, cfg, **kwargs):
-            runs.append(run(u0, cfg, **kwargs))
-            return runs[-1]
+        def spy(u0, cfg):
+            # the runs interleave: each keeps its own series
+            series = TimeSeries(u0.geometry, [])
+            runs.append(series)
+            for sample, u in evolve(u0, cfg):
+                series.samples.append(sample)
+                yield sample, u
 
-        monkeypatch.setattr(cli, "run", spy)
+        monkeypatch.setattr(cli, "evolve", spy)
         got = cdep_experiment(config, 1e-3)
 
         assert got["clean_until"] == want["clean_until"]

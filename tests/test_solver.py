@@ -11,6 +11,7 @@ from zkbstrip import (
     StripGeometry,
     energy_residual,
     evaluate_mode,
+    evolve,
     linear_symbol,
     make_initial_field,
     make_random_field,
@@ -146,21 +147,19 @@ class TestLinearExactness:
     def test_zero_field_fixed_point(self):
         g = StripGeometry(B=np.pi, Lx=2.0, Nx=16, Ny=4)
         f = Field.zeros(g)
-        fields = []
-        run(f, SolverConfig(dt=0.01, t_end=0.01),
-            observer=lambda sample, u: fields.append(u))
+        fields = [u for _, u in evolve(f, SolverConfig(dt=0.01, t_end=0.01))]
         assert len(fields) == 2
         assert np.all(fields[-1].coeffs == 0.0)
 
     def test_modes_outside_band_leave_only_round_off(self):
         # n = 12 lies outside the 2/3 band n < 32/3 of a 32-point grid
+        # (make_initial_field rejects such data)
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=32, Ny=4)
-        f0, _, _ = make_initial_field(
-            InitialData(kind="single_mode", amplitude=1.0, k=12.0, j=1), g
-        )
+        c = np.zeros((17, 4), dtype=complex)
+        c[12, 0] = -0.5j
         cfg = SolverConfig(dt=1e-3, t_end=0.01, nonlinear=False, output_every=10)
-        final = final_field(f0, cfg)
-        # only the sampling round-off inside the band is left
+        final = final_field(Field(g, c), cfg)
+        # nothing outside the band is left, and at most round-off inside
         assert np.all(final.coeffs[11:, :] == 0.0)
         assert np.max(np.abs(final.coeffs)) < 1e-15
 
@@ -423,14 +422,12 @@ class TestInPlaceStep:
         cfg = SolverConfig(dt=1e-3, t_end=0.02)
 
         def runs(observer):
-            fields = []
-
-            def record(sample, u):
+            samples, fields = [], []
+            for sample, u in evolve(u0, cfg):
+                samples.append(tuple(vars(sample).values()))
                 fields.append(u.coeffs)
                 observer()
-
-            series = run(u0, cfg, observer=record)
-            return [tuple(vars(s).values()) for s in series.samples], fields
+            return samples, fields
 
         grids, stale = [], []
 
@@ -604,6 +601,58 @@ class TestRun:
             tuple(vars(b).values()) for b in s2.samples
         ]
 
+
+
+class TestEvolve:
+    """evolve yields each sample; run collects them."""
+
+    def test_run_collects_the_samples_of_evolve(self, small_geom):
+        u = make_random_field(small_geom, seed=2) * 0.1
+        cfg = SolverConfig(dt=0.005, t_end=0.1, output_every=7)
+        assert run(u, cfg).samples == [s for s, _ in evolve(u, cfg)]
+
+    def test_caller_that_stops_steps_no_further(self, monkeypatch):
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        u0 = make_random_field(g, seed=3) * 0.1
+        cfg = SolverConfig(dt=1e-3, t_end=0.1, output_every=10)
+        rows = step_rows(monkeypatch, _stepper(g, cfg.dt, 0, True))
+        samples = evolve(u0, cfg)
+        assert [next(samples)[0].t, next(samples)[0].t] == [0.0, 10 * cfg.dt]
+        samples.close()
+        assert len(rows) == 10
+
+    def test_runs_in_turn_match_runs_one_after_the_other(self, monkeypatch):
+        # an odd-block run (j = 1) and a full-band run (j = 2) on one
+        # geometry share the stepper and the band's scratch, row counts
+        # alternating from one step to the next
+        g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+        u0s = [make_initial_field(
+            InitialData(kind="gaussian_mode", amplitude=0.2, j=j), g).field
+            for j in (1, 2)]
+        cfg = SolverConfig(dt=1e-3, t_end=0.02)
+        apart = [list(evolve(u0, cfg)) for u0 in u0s]
+        st = _stepper(g, cfg.dt, 0, True)
+        rows = step_rows(monkeypatch, st)
+        in_turn = list(zip(*(evolve(u0, cfg) for u0 in u0s)))
+        assert rows == [st.band.n_odd, st.band.nj] * 20
+        for k, want in enumerate(apart):
+            got = [pair[k] for pair in in_turn]
+            assert len(got) == len(want) == 21
+            for (s, u), (s_want, u_want) in zip(got, want):
+                assert s == s_want
+                assert np.array_equal(u.coeffs, u_want.coeffs)
+
+    def test_blow_up_carries_the_samples_so_far(self):
+        g = StripGeometry(B=np.pi, Lx=10.0, Nx=32, Ny=4)
+        f0, _, _ = make_initial_field(
+            InitialData(kind="gaussian_mode", amplitude=40.0, s=2.0, j=1), g
+        )
+        seen = []
+        with pytest.raises(BlowUpError) as info:
+            for sample, _ in evolve(f0, SolverConfig(dt=1.0, t_end=30.0)):
+                seen.append(sample)
+        assert seen and info.value.series.samples == seen
+        assert seen[-1].t < info.value.t
 
 def cnab2_final(u0: Field, dt: float, t_end: float) -> Field:
     """Independent reference integrator: IMEX Crank-Nicolson on the
