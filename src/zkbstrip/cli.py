@@ -44,7 +44,7 @@ from .diagnostics import (
 )
 from .fields import InitialData, make_initial_field, make_random_field
 from .geometry import StripGeometry
-from .solver import BlowUpError, SolverConfig, evolve, run
+from .solver import BlowUpError, SolverConfig, Trajectory, advance, run
 from .theory import (
     check_smallness,
     constants_for_width,
@@ -655,11 +655,12 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
 
     The perturbation is a unit-norm first-mode gaussian bump; factors are
     max over the base run's clean samples of the weighted difference norm
-    over its initial value.  The three runs are stepped in turn, one
-    sample at a time, and stop at the base run's clean end: the base at
-    its first contaminated sample, the perturbed runs at its last clean
-    one.  The result is stable when both the ratio of the maxima and the
-    ratio of the final factors lie within 10% of 1.
+    over its initial value.  The base runs one sample ahead: each
+    :func:`solver.advance` steps the perturbed runs to its sample k while
+    it steps to k + 1, as one stack, and its Field at k waits for them;
+    so the base stops at its first contaminated sample, the perturbed
+    runs at its last clean one.  The result is stable when both the ratio
+    of the maxima and the ratio of the final factors lie within 10% of 1.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
@@ -671,19 +672,22 @@ def cdep_experiment(config: RunConfig, eps: float) -> dict:
         geom,
     )
 
-    base = evolve(base_init.field, config.solver)
-    perturbed = [evolve(base_init.field + e * bump_init.field, config.solver)
-                 for e in (eps, eps / 2.0)]
-    samples = []  # the base run's
+    u0 = base_init.field
+    base, *perturbed = (Trajectory(f, config.solver) for f in (
+        u0, *(u0 + e * bump_init.field for e in (eps, eps / 2.0))))
     diffs = ([], [])  # weighted squared differences at eps and eps/2
-    for sample, u in base:
-        samples.append(sample)
-        if sample.contaminated:
-            break
-        for d, run_e in zip(diffs, perturbed):
-            z = next(run_e)[1] - u
+    (sample, u), = advance([base])  # t = 0: no step
+    while not sample.contaminated:
+        # the perturbed runs to k (no step at k = 0), the base to k + 1
+        ahead = [] if base.target is None else [base]
+        got = advance(perturbed + ahead)
+        for d in diffs:  # each perturbed Field dropped once used
+            z = got.pop(0)[1] - u
             d.append(weighted_inner(z, z))
-    clean_end = TimeSeries(geom, samples).clean_end()
+        if not ahead:
+            break
+        (sample, u), = got
+    clean_end = TimeSeries(geom, base.samples).clean_end()
     (factor_full, final_full), (factor_half, final_half) = (
         (max(d) / d[0], d[-1] / d[0]) for d in diffs)
     ratio = factor_full / factor_half if factor_half > 0 else math.inf

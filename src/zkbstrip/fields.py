@@ -74,9 +74,9 @@ class _Band:
     per-slot factor, ``slot``, which the stepper folds into its ETDRK4
     weights, so :meth:`square` returns the band spectrum of u**2
     itself.  It writes its x samples, grid values and spectrum into
-    scratch arrays made on its first call, so a band that only serves
-    the transforms below never holds them; the rfft output is also the
-    padded irfft input of the next call.  One band per geometry also serves
+    scratch arrays made on its first call of each state shape, so a band
+    that only serves the transforms below never holds them; the rfft
+    output is also the padded irfft input.  One band per geometry also serves
     :func:`to_spectral` and, outside the stepper, the one way from
     coefficients to grid values: :meth:`x_modes`, the amplitudes every
     diagnostic reads, then :meth:`grid` (:func:`to_grid` composes the
@@ -134,7 +134,7 @@ class _Band:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
-        self._scratch = None
+        self._scratch = {}  # per state shape, made on first use
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Full-layout (Nx//2+1, Ny) coefficients -> contiguous band
@@ -165,32 +165,33 @@ class _Band:
         return (a @ self.sines[:, : a.shape[1]].T) * self.mode_scale
 
     def square(self, a: np.ndarray) -> np.ndarray:
-        """(u**2)^ on the band, from the band coefficients a of u, in a
-        scratch array that the next call overwrites.  An a of only the
-        n_odd odd rows stands for data with an all-zero even block, whose
-        square has one too: the product then takes the half grid and
-        returns the odd rows alone."""
+        """(u**2)^ on the band, from the band coefficients a of u, one (n, nb)
+        state or a C-contiguous stack (S, n, nb) (one x irfft of all rows,
+        one sine product each way broadcast over the stack, one rfft), in
+        scratch that the next product overwrites.  n = n_odd odd rows stand
+        for data with an all-zero even block, whose square has one too:
+        the product then takes the half grid and returns the odd rows."""
         g = self.geom
-        if self._scratch is None:
-            self._scratch = (np.empty((self.nj, g.Nx)),  # x samples, each way
-                             np.empty((g.Ny, g.Nx)),  # u, then u^2
-                             np.empty((self.nj, g.Nx // 2 + 1), dtype=complex),
-                             np.empty((self.nj, self.nb), dtype=complex))
-        xs, u, spec, out = self._scratch
-        n = len(a)
+        *lead, n, _ = a.shape
         synthesis, analysis = ((self.synthesis, self.analysis) if n == self.nj
                                else (self.synthesis_odd, self.analysis_odd))
-        xs, u, spec, out = xs[:n], u[: len(synthesis)], spec[:n], out[:n]
-        spec[:, : self.nb] = a  # the padded irfft input, then the rfft output
-        spec[:, self.nb :] = 0.0
-        irfft(spec, n=g.Nx, axis=1, out=xs)
+        if a.shape not in self._scratch:  # x samples each way, u then u^2
+            self._scratch[a.shape] = (
+                np.empty((*lead, n, g.Nx)), np.empty((*lead, len(synthesis), g.Nx)),
+                np.empty((*lead, n, g.Nx // 2 + 1), dtype=complex), np.empty_like(a))
+            if lead:  # one state squares in the first member's scratch
+                self._scratch[a.shape[1:]] = tuple(t[0] for t in self._scratch[a.shape])
+        xs, u, spec, out = self._scratch[a.shape]
+        spec[..., : self.nb] = a  # the padded irfft input, then the rfft output
+        spec[..., self.nb :] = 0.0
+        irfft(spec, n=g.Nx, axis=-1, out=xs)
         np.matmul(synthesis, xs, out=u)
         np.multiply(u, u, out=u)
         np.matmul(analysis, u, out=xs)
-        rfft(xs, axis=1, out=spec)
+        rfft(xs, axis=-1, out=spec)
         # contiguous for the stepper: numpy's ufuncs copy a strided 2-D
         # operand into a buffer of its full size
-        np.copyto(out, spec[:, : self.nb])
+        np.copyto(out, spec[..., : self.nb])
         return out
 
 
@@ -405,7 +406,9 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
     for decay experiments.  Both kinds that sample one sine mode w_j
     keep only its column j - 1 of the transform; the others hold only
     rounding, and are set to exact zeros.  Their mode, and the x slot of
-    single_mode data, must lie in the 2/3 band that a run steps.
+    single_mode data, must lie in the 2/3 band that a run steps.  The
+    norm and tail mass are those of the samples; the field returned then
+    drops the Nyquist row of these two kinds, as a run does.
     """
     from .diagnostics import tail_mass as _tail_mass
 
@@ -455,6 +458,10 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
             f"support too wide for truncation: initial tail mass {tail:.3e} > "
             f"{TAIL_REJECT_THRESHOLD:.0e}"
         )
+    if init.kind != "custom_samples":
+        # no run steps the Nyquist row; its rounding (-6.9e-18 for j = 2
+        # at 256x32) would send GN's quadrature to the 4Nx grid
+        field = Field(geom, np.pad(field.coeffs[:-1], ((0, 1), (0, 0))))
     return InitialField(field, norm, tail)
 
 

@@ -13,11 +13,13 @@ In the Fourier x sine-mode y representation every mode obeys
 so the linear part is diagonal and is integrated exactly by a
 fourth-order exponential Runge-Kutta scheme; the quadratic term is formed
 pseudospectrally as 0.5*d/dx(u^2) with 2/3-rule dealiasing, which keeps
-the discrete pairing (u*u_x, u) at exact zero.  The stepper's state holds
-only the coefficients inside the 2/3 band, y modes by x slots with x
-contiguous, odd modes first; the full (Nx//2+1, Ny) layout of a Field is
-rebuilt only for output: :func:`evolve`, the one stepping loop, yields
-each sample with its Field, and :func:`run` keeps the samples alone.
+the discrete pairing (u*u_x, u) at exact zero.  A run's state holds
+only the coefficients inside the 2/3 band, n y modes by x slots with x
+contiguous, odd modes first; :func:`advance`, the one stepping loop,
+steps the runs on one stepper with one n as one stack (S, n, nb), one
+band product per stage for all S.  The full (Nx//2+1, Ny) layout of a
+Field is rebuilt only for output: :func:`evolve` advances one run, and
+:func:`run` keeps its samples.
 The equation and the Dirichlet conditions are unchanged by y -> B - y,
 so data even about y = B/2 (no even sine mode) stays so for all time:
 when the even block of the initial state is exactly zero, with no
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import TimeSeries, sample_field
+from .diagnostics import NormSample, TimeSeries, sample_field
 from .fields import Field, _band, band_shape, parseval_sums
 from .geometry import StripGeometry
 
@@ -138,14 +140,15 @@ class Stepper:
     """Precomputed coefficients and transforms for one geometry, time
     step, convection flag and nonlinear switch: all that a step reads.
 
-    It steps the band array of :class:`fields._Band`, or its odd block
-    alone.  Every coefficient table below has the (nj, nb) shape of the
-    band, or (1, nb) for the norm weights, and a step reads the leading
-    len(c) rows of each table and stage buffer.  The weights M, f1, f2,
-    f3 carry the derivative factor ``band.slot``.
-    The tables are frozen, since the stepper is shared through a cache;
-    its stage buffers make a step safe from one call to the next, but
-    not across threads.
+    It steps a stack (S, n, nb) of S band arrays of :class:`fields._Band`,
+    n the band's nj rows or the n_odd of its odd block alone; an (n, nb)
+    array steps as a stack of one.  Every coefficient table below has
+    the (nj, nb) shape of the band, or (1, nb) for the norm weights; a
+    step runs its stage sums on the S*n rows of the stack, against the
+    leading n rows of each table tiled S times.  The weights M, f1, f2,
+    f3 carry the derivative factor ``band.slot``.  The tables are frozen
+    (the stepper is shared through a cache); its stage buffers make a
+    step safe from one call to the next, not across threads.
     """
 
     def __init__(self, geom: StripGeometry, dt: float, convection: int = 0,
@@ -170,22 +173,35 @@ class Stepper:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
-        stages = tuple(np.empty_like(self.E) for _ in range(4))
-        # a step reads the leading rows of each table and stage buffer:
-        # all nj for the band, n_odd for its odd block alone
-        per_row = (self.E, self.E2, self.M, self.f1, self.f2, self.f3, *stages)
-        self._rows = {n: tuple(t[:n] for t in per_row)
-                      for n in (band.nj, band.n_odd)}
+        self._rows = {}  # per (S, n): the tables, then four stage buffers
 
-    def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
-        """(u^2)^ on the band, in scratch that the next call overwrites;
-        the weights turn it into -(u u_x)^hat."""
-        return self.band.square(c)
+    def _stack(self, S: int, n: int) -> tuple[np.ndarray, ...]:
+        """Each table's leading n rows, tiled S times for S > 1 (broadcast
+        tables lose numpy's contiguous fast path), and stage buffers."""
+        tables = [t[:n] if S == 1 else np.tile(t[:n], (S, 1)) for t in (
+            self.E, self.E2, self.M, self.f1, self.f2, self.f3)]
+        for table in tables:
+            table.setflags(write=False)
+        stages = [np.empty_like(tables[0]) for _ in range(4)]
+        self._rows[S, n] = (*tables, *stages)
+        if S > 1:  # one state steps in the first rows of the stack's buffers
+            self._rows[1, n] = (*(t[:n] for t in tables), *(b[:n] for b in stages))
+        return self._rows[S, n]
+
+    def nonlinear_rhs(self, c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """(u^2)^ on the band of the rows c of a state or stack of that shape,
+        rows like c in scratch; the weights turn it into -(u u_x)^hat."""
+        return self.band.square(c.reshape(shape)).reshape(c.shape)
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
-        E, E2, M, f1, f2, f3, e2c, n0, a, tmp = self._rows[len(c)]
+        shape = c.shape
+        c = c.reshape(-1, c.shape[-1])  # every stage sum runs on all S*n rows
+        key = (len(c) // shape[-2], shape[-2])
+        square = shape if key[0] > 1 else shape[-2:]  # one state: 2-D products
+        E, E2, M, f1, f2, f3, e2c, n0, a, tmp = (self._rows.get(key)
+                                                 or self._stack(*key))
         if not self.nonlinear:
-            return E * c
+            return (E * c).reshape(shape)
         # Each stage sum of
         #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(nb*2 - n0),
         #   E*c + f1*n0 + f2*na + f2*nb + f3*nc
@@ -193,24 +209,24 @@ class Stepper:
         # scratch, used up before the next one; only n0 is kept.
         out = np.multiply(E, c)
         np.multiply(E2, c, out=e2c)
-        n = self.nonlinear_rhs(c)
+        n = self.nonlinear_rhs(c, square)
         np.copyto(n0, n)
         out += np.multiply(f1, n, out=n)
         np.multiply(M, n0, out=a)
         a += e2c
-        n = self.nonlinear_rhs(a)
+        n = self.nonlinear_rhs(a, square)
         b = np.multiply(M, n, out=tmp)
         b += e2c
         out += np.multiply(f2, n, out=n)
-        n = self.nonlinear_rhs(b)
+        n = self.nonlinear_rhs(b, square)
         out += np.multiply(f2, n, out=tmp)
         n *= 2.0
         n -= n0
         cc = np.multiply(E2, a, out=a)
         cc += np.multiply(M, n, out=n)
-        n = self.nonlinear_rhs(cc)
+        n = self.nonlinear_rhs(cc, square)
         out += np.multiply(f3, n, out=n)
-        return out
+        return out.reshape(shape)
 
 
 # Keyed on what a step reads, so runs that differ in t_end or the
@@ -218,55 +234,88 @@ class Stepper:
 _stepper = lru_cache(maxsize=8)(Stepper)
 
 
+class Trajectory:
+    """One run's ledger for :func:`advance`: its state, a stack of one
+    band array, the step index and that of its next sample, the
+    trapezoid dissipation, the blow-up limit and the samples so far."""
+
+    def __init__(self, u0: Field, cfg: SolverConfig):
+        self.geom, self.cfg = u0.geometry, cfg
+        check_dispersion_sanity(self.geom, cfg)
+        self.stepper = st = _stepper(self.geom, cfg.dt, cfg.convection, cfg.nonlinear)
+        c = st.band.gather(u0.coeffs)
+        # data even about y = B/2 stays so: step its odd block alone
+        self.state = (c if c[st.band.n_odd :].any() else c[: st.band.n_odd])[None]
+        self.n_steps = int(round(cfg.t_end / cfg.dt))
+        if abs(self.n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
+            raise ValueError(f"t_end = {cfg.t_end} is not an integer number "
+                             f"of steps of {cfg.dt}")
+        self.step = self.target = 0  # target: the next sample's step; None when done
+        self.samples = []  # for BlowUpError too
+        self.l2, dxsq = parseval_sums(self.state[0], st.w_l2, st.w_dx)
+        self.limit = max(BLOWUP_NORM_FACTOR**2 * self.l2, 1e-300)
+        self.diss = 0.0
+        self.f = 2.0 * dxsq  # the dissipation integrand at this step
+
+    def _record(self) -> tuple[NormSample, Field]:
+        f = Field(self.geom, self.stepper.band.scatter(self.state[0]))
+        self.samples.append(sample_field(f, t=self.step * self.cfg.dt,
+                                         l2=self.l2, diss_cum=self.diss))
+        self.target = (None if self.step == self.n_steps
+                       else min(self.step + self.cfg.output_every, self.n_steps))
+        return self.samples[-1], f
+
+
+def advance(runs: list[Trajectory]) -> list[tuple[NormSample, Field]]:
+    """Step each run, none of them done, to its next sample (t = 0 takes
+    no step) and record it: ``(sample, u)`` of each, in order.  Runs on
+    one stepper with one row count step as one stack, longest to go
+    first, so a run leaves from its end at its sample; stacks of other
+    row counts step in turn.  :class:`BlowUpError`, with its samples so
+    far, is raised for the run with the earliest t among those that blow
+    up at one step."""
+    got = {r: r._record() for r in runs if r.step == r.target}
+    stacks = {}
+    for r in sorted((r for r in runs if r not in got), key=lambda r: r.step - r.target):
+        stacks.setdefault((r.stepper, len(r.state[0])), []).append(r)
+    stacks = [(m, np.concatenate([r.state for r in m])) for m in stacks.values()]
+    while stacks:
+        stacks = [(m, m[0].stepper.step_erk4(c)) for m, c in stacks]
+        blown = []
+        for m, c in stacks:
+            for r, row in zip(m, c):  # the per-step norms, ledger and check
+                r.step += 1
+                r.l2, dxsq = parseval_sums(row, r.stepper.w_l2, r.stepper.w_dx)
+                r.diss += 0.5 * r.cfg.dt * (r.f + 2.0 * dxsq)
+                r.f = 2.0 * dxsq
+                if not math.isfinite(r.l2) or r.l2 > r.limit:
+                    blown.append(r)
+        if blown:
+            r = min(blown, key=lambda r: r.step * r.cfg.dt)
+            raise BlowUpError(r.step * r.cfg.dt, r.l2, TimeSeries(r.geom, r.samples))
+        for m, c in stacks:
+            while m and m[-1].step == m[-1].target:
+                r = m.pop()
+                r.state = c[len(m) : len(m) + 1]
+                got[r] = r._record()
+        stacks = [(m, c[: len(m)]) for m, c in stacks if m]
+    return [got[r] for r in runs]
+
+
 def evolve(u0: Field, cfg: SolverConfig):
     """Integrate to t_end, yielding ``(sample, u)``, the diagnostics
-    sample and the Field, at t = 0, every output_every steps and at t_end.
+    sample and the Field, at t = 0, every output_every steps and at t_end:
+    :func:`advance` of one :class:`Trajectory`, a stack of one state.
 
     A caller ends the run by asking for no further sample.  A sample's
     tail mass above 1e-6 marks it contaminated; the run goes on.  Runs
-    on one geometry with the same dt, convection flag and nonlinear
-    switch share one cached stepper, so runs may be advanced in turn: a
-    step keeps nothing in the stepper from one call to the next.
-    Non-finite values or a norm explosion raise :class:`BlowUpError`
-    with the samples so far.
+    that share a stepper may be advanced in turn: a step keeps nothing
+    in it from one call to the next.  Non-finite values or a norm
+    explosion raise :class:`BlowUpError` with the samples so far.
     """
-    geom = u0.geometry
-    check_dispersion_sanity(geom, cfg)
-    st = _stepper(geom, cfg.dt, cfg.convection, cfg.nonlinear)
-    c = st.band.gather(u0.coeffs)
-    # data even about y = B/2 stays so: step its odd block alone
-    if not c[st.band.n_odd :].any():
-        c = c[: st.band.n_odd]
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ValueError(
-            f"t_end = {cfg.t_end} is not an integer number of steps of {cfg.dt}"
-        )
-
-    samples = []  # for BlowUpError
-    l2_0, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
-    blow_limit = max(BLOWUP_NORM_FACTOR**2 * l2_0, 1e-300)
-    diss = 0.0
-    f_prev = 2.0 * dxsq
-
-    def record(step_idx: int, l2_now: float):
-        f = Field(geom, st.band.scatter(c))
-        samples.append(sample_field(f, t=step_idx * cfg.dt, l2=l2_now,
-                                    diss_cum=diss))
-        return samples[-1], f
-
-    yield record(0, l2_0)
-    for n in range(1, n_steps + 1):
-        c = st.step_erk4(c)
-        l2_now, dxsq = parseval_sums(c, st.w_l2, st.w_dx)
-        if not math.isfinite(l2_now) or l2_now > blow_limit:
-            raise BlowUpError(n * cfg.dt, l2_now, TimeSeries(geom, samples))
-        f_now = 2.0 * dxsq
-        diss += 0.5 * cfg.dt * (f_prev + f_now)
-        f_prev = f_now
-        if n % cfg.output_every == 0 or n == n_steps:
-            yield record(n, l2_now)
+    run = Trajectory(u0, cfg)
+    while run.target is not None:
+        yield advance([run])[0]
 
 
 def run(u0: Field, cfg: SolverConfig) -> TimeSeries:

@@ -89,6 +89,19 @@ def final_field(u0, cfg):
     return u
 
 
+def step_rows(monkeypatch, st) -> list[tuple[int, int]]:
+    """The shape (S, n) of each stack of S states of n band rows that st
+    steps from now on."""
+    rows, step = [], st.step_erk4
+
+    def recording_step(c):
+        rows.append(c.shape[:-1])
+        return step(c)
+
+    monkeypatch.setattr(st, "step_erk4", recording_step)
+    return rows
+
+
 @pytest.fixture(scope="session")
 def paper_ref():
     """Reference decay run (B=pi, Lx=30, 1024x32, t_end=40), computed once.

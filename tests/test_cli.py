@@ -31,6 +31,9 @@ from zkbstrip.cli import (
     read_series_csv,
     verify_suite,
 )
+from zkbstrip.solver import BlowUpError, Trajectory, _stepper
+
+from conftest import step_rows
 
 
 def base_doc(**overrides):
@@ -813,10 +816,8 @@ class TestSweepCommand:
         assert s1 == s2
 
 
-def reference_cdep(config, eps):
-    """Continuous dependence the long way: three full-length runs, one
-    after the other, whose fields are all kept and compared over the base
-    run's clean prefix."""
+def cdep_fields(config):
+    """The base run's initial field and cdep's unit-norm bump."""
     geom = config.geometry
     base0 = make_initial_field(config.initial, geom).field
     bump = make_initial_field(
@@ -824,6 +825,42 @@ def reference_cdep(config, eps):
                     x0=config.initial.x0, j=1, target_l2_norm=1.0),
         geom,
     ).field
+    return base0, bump
+
+
+def in_turn_cdep(config, eps):
+    """The cdep report with the three runs advanced in turn, each alone,
+    one sample at a time: the base to its sample k, stopping at its first
+    contaminated one, then each perturbed run to k."""
+    base0, bump = cdep_fields(config)
+    base = evolve(base0, config.solver)
+    perturbed = [evolve(base0 + e * bump, config.solver) for e in (eps, eps / 2.0)]
+    samples, diffs = [], ([], [])
+    for sample, u in base:
+        samples.append(sample)
+        if sample.contaminated:
+            break
+        for d, run_e in zip(diffs, perturbed):
+            z = next(run_e)[1] - u
+            d.append(weighted_inner(z, z))
+    clean_end = TimeSeries(config.geometry, samples).clean_end()
+    (full, final_full), (half, final_half) = (
+        (max(d) / d[0], d[-1] / d[0]) for d in diffs)
+    ratio, final_ratio = full / half, final_full / final_half
+    return {"eps": eps, "growth_factor_eps": full, "growth_factor_half_eps": half,
+            "ratio": ratio, "final_factor_eps": final_full,
+            "final_factor_half_eps": final_half, "final_ratio": final_ratio,
+            "stable": bool(abs(ratio - 1.0) <= cli.STABLE_TOLERANCE
+                           and abs(final_ratio - 1.0) <= cli.STABLE_TOLERANCE),
+            "clean_until": clean_end}
+
+
+def reference_cdep(config, eps):
+    """Continuous dependence the long way: three full-length runs, one
+    after the other, whose fields are all kept and compared over the base
+    run's clean prefix."""
+    geom = config.geometry
+    base0, bump = cdep_fields(config)
 
     def fields_of(u0):
         samples, kept = zip(*evolve(u0, config.solver))
@@ -842,6 +879,81 @@ def reference_cdep(config, eps):
     return out
 
 
+class TestCdepSchedule:
+    """cdep steps the base one sample ahead: after its first interval
+    alone, the two perturbed runs step to its sample k while it steps to
+    k + 1, the three as one stack.  Each run steps the steps it would
+    step alone, and the report is that of the runs advanced in turn."""
+
+    @staticmethod
+    def quarter_ref(solver=(), initial=()):
+        # paper-ref on a quarter of the domain, the grid spacing kept:
+        # sampled every 0.1, contaminated at t = 0.3
+        doc = json.loads(json.dumps(paper_ref_config().raw))
+        doc["geometry"].update(Lx=7.5, Nx=256)
+        doc["solver"].update({"t_end": 0.4, **dict(solver)})
+        doc["initial"].update(initial)
+        return parse_config(json.dumps(doc))
+
+    @staticmethod
+    def small(t_end):
+        doc = base_doc(**TestCdepCommand.SMALL)
+        doc["solver"]["t_end"] = t_end
+        return parse_config(json.dumps(doc))
+
+    @staticmethod
+    def stepper(config):
+        cfg = config.solver
+        return _stepper(config.geometry, cfg.dt, cfg.convection, cfg.nonlinear)
+
+    def test_base_steps_one_sample_ahead(self, monkeypatch):
+        config = self.quarter_ref()
+        st = self.stepper(config)
+        rows = step_rows(monkeypatch, st)
+        got = cdep_experiment(config, 1e-3)
+        assert got["clean_until"] == 0.2
+        # 700 steps of a state: the perturbed runs stop at t = 0.2, the
+        # base at its contaminated sample t = 0.3
+        assert rows == [(1, st.band.n_odd)] * 100 + [(3, st.band.n_odd)] * 200
+
+    def test_even_mode_base_steps_full_band_stacks(self, monkeypatch):
+        config = self.quarter_ref(initial={"j": 2})
+        st = self.stepper(config)
+        want = in_turn_cdep(config, 1e-3)
+        rows = step_rows(monkeypatch, st)
+        assert cdep_experiment(config, 1e-3) == want
+        assert rows == [(1, st.band.nj)] * 100 + [(3, st.band.nj)] * 200
+
+    @pytest.mark.parametrize("grid,t_end", [
+        ("quarter", 0.0), ("quarter", 0.001), ("quarter", 0.25),
+        ("quarter", 0.35), ("small", 0.5), ("small", 0.1), ("small", 0.105)])
+    def test_report_matches_runs_in_turn(self, grid, t_end):
+        # sampled every 150 steps from t = 0 to 0.35, as before the clean
+        # end at 0.15 and past it; on the small grid, past the clean end,
+        # clean and clean with an uneven last interval, which the base
+        # reaches while the perturbed runs step on
+        config = (self.quarter_ref(solver={"t_end": t_end, "output_every": 150})
+                  if grid == "quarter" else self.small(t_end))
+        assert cdep_experiment(config, 1e-3) == in_turn_cdep(config, 1e-3)
+
+    def test_perturbed_blow_up_matches_runs_in_turn(self):
+        # at eps = 50 the eps run blows up at t = 0.3, in its second
+        # interval, while the base steps its third one, clean
+        doc = {**BLOW_UP_DOC,
+               "solver": {"dt": 0.1, "t_end": 3.0, "output_every": 2},
+               "initial": {"kind": "gaussian_mode", "amplitude": 0.2, "s": 2.0}}
+        config = parse_config(json.dumps(doc))
+        with pytest.raises(BlowUpError) as want:
+            in_turn_cdep(config, 50.0)
+        with pytest.raises(BlowUpError) as got:
+            cdep_experiment(config, 50.0)
+        assert got.value.t == want.value.t == pytest.approx(0.3)
+        assert got.value.last_l2 == want.value.last_l2
+        assert got.value.series.samples == want.value.series.samples
+        base_l2 = make_initial_field(config.initial, config.geometry).l2_norm ** 2
+        assert got.value.series.samples[0].l2 > 100 * base_l2
+
+
 class TestCdepCommand:
     # on a 64 x 16 grid with Lx = 6 the base run is contaminated at
     # t = 0.14, so t_end = 0.5 runs past its clean end and 0.1 stays clean
@@ -858,14 +970,11 @@ class TestCdepCommand:
         runs = []
 
         def spy(u0, cfg):
-            # the runs interleave: each keeps its own series
-            series = TimeSeries(u0.geometry, [])
-            runs.append(series)
-            for sample, u in evolve(u0, cfg):
-                series.samples.append(sample)
-                yield sample, u
+            # the runs interleave: each keeps its own samples
+            runs.append(Trajectory(u0, cfg))
+            return runs[-1]
 
-        monkeypatch.setattr(cli, "evolve", spy)
+        monkeypatch.setattr(cli, "Trajectory", spy)
         got = cdep_experiment(config, 1e-3)
 
         assert got["clean_until"] == want["clean_until"]
@@ -875,7 +984,8 @@ class TestCdepCommand:
         assert got["final_ratio"] == pytest.approx(
             want["final_factor_eps"] / want["final_factor_half_eps"], rel=1e-13)
 
-        base, *perturbed = runs
+        base, *perturbed = (TimeSeries(config.geometry, r.samples)
+                            for r in runs)
         assert len(perturbed) == 2
         assert (base.status == "contaminated") == contaminated
         if contaminated:

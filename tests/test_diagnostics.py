@@ -267,10 +267,13 @@ class TestOneSynthesis:
     ], ids=["sample_field", "verify_sup_lemma", "verify_steklov", "verify_gn",
             "tail_mass"])
     def test_one_x_transform_per_field(self, monkeypatch, diagnostic):
-        # corpus fields, sampled data with a live Nyquist slot (GN's 4Nx
-        # grid) and an even mode, and a zero field
+        # corpus fields, sampled data of an even mode with its Nyquist
+        # slot set live (GN's 4Nx grid), and a zero field
         us = [make_random_field(self.GEOM, seed=s) for s in range(2)]
-        us += [gaussian_mode_field(self.GEOM, j=2), Field.zeros(self.GEOM)]
+        live = gaussian_mode_field(self.GEOM, j=2).coeffs.copy()
+        live[-1, 1] = 1e-3
+        us += [Field(self.GEOM, live), Field.zeros(self.GEOM)]
+        assert us[2].quartic_samples()[1].Nx == 4 * self.GEOM.Nx
         log = []
         _spy(monkeypatch, fields_module, "irfft", log)
         for u in us:

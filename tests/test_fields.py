@@ -183,7 +183,8 @@ class TestInitialData:
     @pytest.mark.parametrize("j", [1, 2, 5])
     def test_sampled_mode_holds_only_its_column(self, kind, j):
         # DST-I orthogonality: the other columns are exact zeros, and the
-        # mode's own column is the plain transform of the samples
+        # mode's own column is the plain transform of the samples, but for
+        # the Nyquist slot, which no run steps
         g = StripGeometry(B=np.pi, Lx=2 * np.pi, Nx=64, Ny=12)
         x, wj = g.x_grid(), evaluate_mode(j, g.y_grid(), g.B)
         profile = np.exp(-(x**2)) if kind == "gaussian_mode" else np.sin(x)
@@ -191,8 +192,8 @@ class TestInitialData:
             InitialData(kind=kind, amplitude=1.0, s=1.0, k=1.0, j=j), g)
         plain = Field.from_values(g, profile[:, None] * wj[None, :]).coeffs
         others = np.arange(g.Ny) != j - 1
-        assert not fld.coeffs[:, others].any()
-        assert np.array_equal(fld.coeffs[:, j - 1], plain[:, j - 1])
+        assert not fld.coeffs[:, others].any() and not fld.coeffs[-1].any()
+        assert np.array_equal(fld.coeffs[:-1, j - 1], plain[:-1, j - 1])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -306,6 +307,19 @@ class TestQuarticGrid:
         assert (chosen.Nx, chosen.Ny) == grid
         fine = StripGeometry(B=np.pi, Lx=10.0, Nx=2 * Nx, Ny=2 * Ny)
         vals = reference_to_grid(_padded(c), fine)
+        want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
+        assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_sampled_gaussian_takes_the_doubled_grid(self):
+        # sampling leaves -6.9e-18 in the Nyquist slot of this field, which
+        # no run steps; kept, it sent GN to the 4Nx grid
+        geom = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
+        u = make_initial_field(InitialData(kind="gaussian_mode", j=2), geom).field
+        assert not u.coeffs[-1].any()
+        _, chosen = u.quartic_samples()
+        assert (chosen.Nx, chosen.Ny) == (512, 32)
+        fine = StripGeometry(B=np.pi, Lx=10.0, Nx=1024, Ny=64)
+        vals = reference_to_grid(_padded(u.coeffs, fx=4), fine)
         want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
         assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
 

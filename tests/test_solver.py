@@ -22,8 +22,10 @@ from zkbstrip.fields import _Band, _band, to_grid
 from zkbstrip.solver import (
     DISPERSION_SANITY_LIMIT,
     Stepper,
+    Trajectory,
     _phi123,
     _stepper,
+    advance,
     check_dispersion_sanity,
 )
 
@@ -34,6 +36,7 @@ from conftest import (
     reference_sine_coeffs,
     reference_to_grid,
     reference_to_spectral,
+    step_rows,
 )
 
 
@@ -359,16 +362,19 @@ class TestInPlaceStep:
         assert np.array_equal(band.square(second), _Band(g).square(second))
 
     def test_step_allocates_only_its_result(self):
+        # one state, and a stack of three on its tiled tables
         g = StripGeometry(B=np.pi, Lx=30.0, Nx=1024, Ny=32)
         for st, c in stepper_cases(g, seed=3, scale=0.1):
-            c = st.step_erk4(st.step_erk4(c))  # scratch arrays, FFT plans
-            tracemalloc.start()
-            try:
-                out = st.step_erk4(c)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.5 * out.nbytes
+            for c in (c, np.stack([c, 0.5 * c, 2.0 * c])):
+                c = st.step_erk4(st.step_erk4(c))  # scratch, tables, FFT plans
+                tracemalloc.start()
+                try:
+                    out = st.step_erk4(c)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert out.shape == c.shape
+                assert peak < 1.5 * out.nbytes
 
     def test_runs_differing_in_t_end_share_a_stepper(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
@@ -398,14 +404,19 @@ class TestInPlaceStep:
                 t.flat[0] = 1.0
 
     def test_stepper_tables_are_read_only(self):
-        # _stepper shares one stepper between runs
+        # _stepper shares one stepper between runs, with the tables it
+        # tiles for a stack
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         for st, c in stepper_cases(g, seed=1):
             st.step_erk4(c)
+            st.step_erk4(np.stack([c, c]))
             tables = {name: t for name, t in vars(st).items()
                       if isinstance(t, np.ndarray)}
             assert tables.keys() == {"E", "E2", "M", "f1", "f2", "f3",
                                      "w_l2", "w_dx"}
+            tiled = st._rows[2, len(c)][:6]
+            assert all(t.shape == (2 * len(c), st.band.nb) for t in tiled)
+            tables.update((f"tiled {k}", t) for k, t in enumerate(tiled))
             for name, t in tables.items():
                 assert not t.flags.writeable, name
                 with pytest.raises(ValueError):
@@ -444,16 +455,28 @@ class TestInPlaceStep:
         assert len(stale) == 40 and not any(stale)
 
 
-def step_rows(monkeypatch, st: Stepper) -> list[int]:
-    """The number of band rows of each state that st steps from now on."""
-    rows, step = [], st.step_erk4
+class TestStackedStep:
+    """A stack (S, n, nb) of S states steps, through one product per
+    stage, exactly as S single steps do."""
 
-    def recording_step(c):
-        rows.append(len(c))
-        return step(c)
-
-    monkeypatch.setattr(st, "step_erk4", recording_step)
-    return rows
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    @pytest.mark.parametrize("Lx,Nx,Ny", [
+        (30.0, 1024, 32),
+        (8.0, 64, 12),
+        (np.pi, 10, 7),
+        (8.0, 64, 30),  # 2*n_odd = nj: tables keyed on (S, n), not S*n
+    ])
+    def test_matches_single_steps(self, Lx, Nx, Ny, S):
+        g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
+        for st, c in stepper_cases(g, seed=Nx + S, scale=0.1):
+            singles = [(1.0 + 0.5 * s) * c for s in range(S)]
+            stack = np.stack(singles)
+            for _ in range(20):
+                stack = st.step_erk4(stack)
+                singles = [st.step_erk4(c) for c in singles]
+                assert stack.shape == (S, *singles[0].shape)
+                assert stack.flags.c_contiguous
+                assert all(np.array_equal(a, c) for a, c in zip(stack, singles))
 
 
 class TestParitySplit:
@@ -490,7 +513,7 @@ class TestParitySplit:
         st = _stepper(g, 1e-3, 0, True)
         rows = step_rows(monkeypatch, st)
         got = final_field(u0, SolverConfig(dt=1e-3, t_end=0.01)).coeffs
-        assert rows == [st.band.n_odd] * 10
+        assert rows == [(1, st.band.n_odd)] * 10
         assert not got[:, 1::2].any() and got[:, 2].any()
 
     def test_even_mode_data_takes_the_full_band(self, monkeypatch):
@@ -504,7 +527,7 @@ class TestParitySplit:
             c = st.step_erk4(c)
         rows = step_rows(monkeypatch, st)
         got = final_field(u0, SolverConfig(dt=1e-3, t_end=0.01)).coeffs
-        assert rows == [st.band.nj] * 10
+        assert rows == [(1, st.band.nj)] * 10
         assert np.array_equal(got, st.band.scatter(c))
         assert got[:, 1].any()
 
@@ -634,7 +657,7 @@ class TestEvolve:
         st = _stepper(g, cfg.dt, 0, True)
         rows = step_rows(monkeypatch, st)
         in_turn = list(zip(*(evolve(u0, cfg) for u0 in u0s)))
-        assert rows == [st.band.n_odd, st.band.nj] * 20
+        assert rows == [(1, st.band.n_odd), (1, st.band.nj)] * 20
         for k, want in enumerate(apart):
             got = [pair[k] for pair in in_turn]
             assert len(got) == len(want) == 21
@@ -653,6 +676,67 @@ class TestEvolve:
                 seen.append(sample)
         assert seen and info.value.series.samples == seen
         assert seen[-1].t < info.value.t
+
+class TestAdvance:
+    """advance steps runs together, each to its own next sample."""
+
+    G = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for (s, u), (s_want, u_want) in zip(got, want):
+            assert s == s_want
+            assert np.array_equal(u.coeffs, u_want.coeffs)
+
+    def test_members_leave_at_their_own_samples(self, monkeypatch):
+        # a run one sample ahead reaches t_end after 5 steps and leaves the
+        # stack; the other steps on alone to its sample 5 steps later
+        u0s = [make_random_field(self.G, seed=s) * 0.1 for s in (1, 2)]
+        cfg = SolverConfig(dt=1e-3, t_end=0.025, output_every=10)
+        apart = [list(evolve(u0, cfg)) for u0 in u0s]
+        behind, ahead = (Trajectory(u0, cfg) for u0 in u0s)
+        st = behind.stepper
+        got = [advance([behind, ahead]), advance([ahead]), advance([ahead])]
+        rows = step_rows(monkeypatch, st)
+        got.append(advance([ahead, behind]))
+        assert rows == [(2, st.band.nj)] * 5 + [(1, st.band.nj)] * 5
+        assert ahead.target is None and behind.step == 10
+        got += [advance([behind]), advance([behind])]
+        assert behind.target is None
+        self.assert_same([got[0][0], got[3][1], got[4][0], got[5][0]], apart[0])
+        self.assert_same([got[0][1], got[1][0], got[2][0], got[3][0]], apart[1])
+
+    def test_row_counts_step_as_stacks_of_their_own(self, monkeypatch):
+        # an odd-block run (j = 1) and a full-band run (j = 2) in one call
+        u0s = [make_initial_field(
+            InitialData(kind="gaussian_mode", amplitude=0.2, j=j), self.G).field
+            for j in (1, 2)]
+        cfg = SolverConfig(dt=1e-3, t_end=0.02, output_every=10)
+        apart = [list(evolve(u0, cfg)) for u0 in u0s]
+        runs = [Trajectory(u0, cfg) for u0 in u0s]
+        st = runs[0].stepper
+        rows = step_rows(monkeypatch, st)
+        got = [advance(runs) for _ in range(3)]
+        assert rows == [(1, st.band.n_odd), (1, st.band.nj)] * 20
+        for k, want in enumerate(apart):
+            self.assert_same([g[k] for g in got], want)
+
+    def test_blow_up_raised_for_the_earliest_t(self):
+        # two members blow up at one stacked step: whatever their order,
+        # the one at the earlier t is raised, with its samples
+        cfg = SolverConfig(dt=1e-3, t_end=0.05, output_every=10)
+        early, late = (Trajectory(make_random_field(self.G, seed=s) * 0.1, cfg)
+                       for s in (1, 2))
+        advance([early, late])
+        advance([late])
+        early.limit = late.limit = 0.0
+        with pytest.raises(BlowUpError) as info:
+            advance([late, early])
+        assert info.value.t == 1e-3
+        assert info.value.series.samples is early.samples
+        assert late.step == 11
+
 
 def cnab2_final(u0: Field, dt: float, t_end: float) -> Field:
     """Independent reference integrator: IMEX Crank-Nicolson on the
