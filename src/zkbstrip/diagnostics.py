@@ -39,10 +39,10 @@ def _moments(geom: StripGeometry, fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     exp(2bx) a^f_j a^g_j, which add up to (exp(2bx) f, g) and whose dot
     with lambda_j is (exp(2bx), f_y g_y), and row 1 their shares in the
     outer x-bands of the tail mass.  Modes past the shorter of the two
-    amplitude arrays are zero in one factor and drop out.
-    """
-    nj = min(fa.shape[1], ga.shape[1])
-    return _band(geom).w_x @ (fa[:, :nj] * ga[:, :nj])
+    amplitude arrays are zero in one factor and drop out.  Per member
+    for the amplitudes of two stacks."""
+    nj = min(fa.shape[-1], ga.shape[-1])
+    return _band(geom).w_x @ (fa[..., :nj] * ga[..., :nj])
 
 
 def weighted_inner(f: Field, g: Field) -> float:
@@ -54,10 +54,12 @@ def weighted_inner(f: Field, g: Field) -> float:
     return float(np.sum(_moments(f.geometry, fa, ga)[0]))
 
 
-def weighted_sup(geom: StripGeometry, a: np.ndarray) -> float:
-    """Grid maximum of |exp(bx) u|, from u's amplitudes a (:func:`_modes`)."""
+def weighted_sup(geom: StripGeometry, a: np.ndarray) -> np.ndarray:
+    """Grid maximum of |exp(bx) u|, per member, from amplitudes a (:func:`_modes`)."""
     band = _band(geom)
-    return float(np.max(np.abs(band.w_sup[:, None] * band.grid(a))))
+    values = band.grid(a)  # one grid-sized temporary: each costs page faults
+    values *= band.w_sup[:, None]
+    return np.max(np.abs(values, out=values), axis=(-2, -1))
 
 
 def tail_mass(u: Field) -> float:
@@ -111,7 +113,7 @@ def sample_field(u: Field, t: float, l2: float, diss_cum: float) -> NormSample:
             + float(geom.eigenvalues()[:nj] @ m[0, :nj]))
     tail = float(np.sum(m[1, :nj])) / w_l2 if w_l2 != 0.0 else 0.0
     return NormSample(t=t, l2=l2, diss_cum=diss_cum, w_l2=w_l2, w_h1=w_h1,
-                      sup_w=weighted_sup(geom, a[:, :nj]), tail=tail)
+                      sup_w=float(weighted_sup(geom, a[:, :nj])), tail=tail)
 
 
 @dataclass

@@ -9,18 +9,19 @@ implied by conjugate symmetry) and w_j the orthonormal Dirichlet sine
 modes.  Real-valuedness and the Dirichlet trace are enforced by the
 representation itself.  The one transform between coefficients and grid
 samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
-serves the stepper's dealiased square and every reader of a Field (an
-x transform to the amplitudes a_j(x) of its y modes, then one sine
-product for grid values), and holds every other read-only table of its
-geometry.  The x FFTs are numpy's, which write into given arrays.  The
-band keeps its odd y modes first: the odd sine modes are even about
-y = B/2, so data with no even mode (an exactly zero even block) is
-squared from its odd block on the top half of the grid alone.  The
-dealiased square copies its band into a zero-tailed padded buffer
-before the x irfft (numpy's own zero-padding inside the transform is
-slower) and returns one of its scratch arrays; its band is shared
-through a cache, so that is safe from one call to the next, but not
-across threads.
+serves the stepper's dealiased square and every reader of a Field (an x
+transform to the amplitudes a_j(x) of its y modes, then one sine product
+for grid values) or of a stack (S, n, J) of fields cut to their live n x
+slots and J y modes (:func:`random_blocks`), one transform per stack, and
+holds every other read-only table of its geometry.  The x FFTs are
+numpy's, which write into given arrays.  The band keeps its odd y modes
+first: the odd sine modes are even about y = B/2, so data with no even
+mode (an exactly zero even block) is squared from its odd block on the top
+half of the grid alone.  The dealiased square copies its band into a
+zero-tailed padded buffer before the x irfft (numpy's own zero-padding
+inside the transform is slower) and returns one of its scratch arrays; its
+band is shared through a cache, so that is safe from one call to the next,
+but not across threads.
 """
 
 from __future__ import annotations
@@ -149,20 +150,20 @@ class _Band:
         full[: self.nb, self.order[: len(a)]] = a.T
         return full
 
-    def x_modes(self, full: np.ndarray, dx: bool = False) -> np.ndarray:
-        """Full-layout coefficients -> (Nx, J) amplitudes a_j(x) on the x
-        grid of the leading J orthonormal y modes, up to the last mode
-        that holds a non-zero coefficient; with dx, (Nx, 2J): those of u
-        and then those of u_x, from one transform."""
-        c = _leading_modes(full)
+    def x_modes(self, coeffs: np.ndarray, dx: bool = False) -> np.ndarray:
+        """Full-layout coefficients, or a stack (S, n, J) of their first n x
+        slots and J y modes -> (Nx, J) amplitudes a_j(x) per member on the x
+        grid of the leading J orthonormal y modes, up to the last live one;
+        with dx, (Nx, 2J): those of u, then of u_x.  One x transform."""
+        c = _leading_modes(coeffs)
         if dx:
-            c = np.concatenate([c, c * self.ik], axis=1)
-        return irfft(c, n=self.geom.Nx, axis=0) * self.geom.Nx
+            c = np.concatenate([c, c * self.ik[: c.shape[-2]]], axis=-1)
+        return irfft(c, n=self.geom.Nx, axis=-2) * self.geom.Nx
 
     def grid(self, a: np.ndarray) -> np.ndarray:
-        """(Nx, J) amplitudes of the leading J y modes (:meth:`x_modes`)
-        -> (Nx, Ny) grid values, by one sine product in y."""
-        return (a @ self.sines[:, : a.shape[1]].T) * self.mode_scale
+        """(Nx, J) amplitudes of the leading J y modes (:meth:`x_modes`),
+        per member -> (Nx, Ny) grid values, by one sine product in y."""
+        return (a @ self.sines[:, : a.shape[-1]].T) * self.mode_scale
 
     def square(self, a: np.ndarray) -> np.ndarray:
         """(u**2)^ on the band, from the band coefficients a of u, one (n, nb)
@@ -207,22 +208,23 @@ def to_spectral(values: np.ndarray, geom: StripGeometry) -> np.ndarray:
 
 
 def _leading_modes(coeffs: np.ndarray) -> np.ndarray:
-    """The columns (y modes) of coeffs up to the last one that holds a
-    non-zero coefficient; none for a zero array."""
-    live = np.flatnonzero(coeffs.any(axis=0))
-    return coeffs[:, : live[-1] + 1 if live.size else 0]
+    """The columns (y modes) of coeffs, or of a stack of them, up to the
+    last one that holds a non-zero coefficient; none for a zero array."""
+    live = np.flatnonzero(coeffs.any(axis=tuple(range(coeffs.ndim - 1))))
+    return coeffs[..., : live[-1] + 1 if live.size else 0]
 
 
 def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
-    """Coefficients (Nx//2+1, J) of the first J <= Ny y modes -> grid
-    (Nx, Ny): :meth:`_Band.x_modes`, then :meth:`_Band.grid`."""
+    """Coefficients (n, J) of the first n x slots and J y modes, or a stack
+    of them -> grid (Nx, Ny) per member: :meth:`_Band.x_modes`, then grid."""
     band = _band(geom)
     return band.grid(band.x_modes(coeffs))
 
 
 def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]:
     """Squared norms sum(w * |coeffs|**2), one per Parseval weight table
-    w of :class:`_Band` or of the stepper, each |coeffs|**2 made once.
+    w of :class:`_Band` or of the stepper, each |coeffs|**2 made once;
+    for a stack (S, n, J) of full-layout ones, one sum per member.
 
     A table of length 1 along one axis (y: (n, 1) in the full layout,
     (1, nb) in the band one) weights the power summed along that axis,
@@ -237,22 +239,31 @@ def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]
             axis = w.shape.index(1)
             if axis not in summed:
                 summed[axis] = _summed_power(flat, axis)
-            sums.append(float(np.dot(w.ravel(), summed[axis])))
+            sums.append(np.vecdot(summed[axis], w.ravel()))
         else:
             if power is None:
                 power = coeffs.real**2 + coeffs.imag**2
-            sums.append(float(np.sum(w * power)))
-    return tuple(sums)
+            sums.append(np.sum(w * power, axis=(-2, -1)))
+    return tuple(float(s) if coeffs.ndim == 2 else s for s in sums)
 
 
 def _summed_power(flat: np.ndarray, axis: int) -> np.ndarray:
-    """|c|**2 summed along one axis of a 2-D complex array c, from its
-    float view flat (real and imaginary parts interleaved along the last
-    axis)."""
+    """|c|**2 summed along one axis of a 2-D complex array c (along axis
+    1 also of a stack of them), from its float view flat (real and
+    imaginary parts interleaved along the last axis)."""
     if axis == 1:
-        return np.einsum("ij,ij->i", flat, flat)
+        return np.einsum("...ij,...ij->...i", flat, flat)
     parts = np.einsum("ij,ij->j", flat, flat)
     return parts[0::2] + parts[1::2]
+
+
+def _check_coeffs(coeffs: np.ndarray, *real_rows: np.ndarray) -> None:
+    """A Field's checks: all coefficients finite, the given rows real."""
+    if not np.all(np.isfinite(coeffs.view(np.float64))):
+        raise ValueError("field coefficients contain non-finite entries")
+    if any(row.imag.any() for row in real_rows):
+        raise ValueError("the mean (n = 0) and Nyquist rows of a real "
+                         "field must be real")
 
 
 class Field:
@@ -269,11 +280,7 @@ class Field:
         expected = (geometry.Nx // 2 + 1, geometry.Ny)
         if coeffs.shape != expected:
             raise ValueError(f"coefficient shape {coeffs.shape} != {expected}")
-        if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise ValueError("field coefficients contain non-finite entries")
-        if coeffs[0].imag.any() or coeffs[-1].imag.any():
-            raise ValueError("the mean (n = 0) and Nyquist rows of a real "
-                             "field must be real")
+        _check_coeffs(coeffs, coeffs[0], coeffs[-1])
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -327,24 +334,25 @@ class Field:
 
     __rmul__ = __mul__
 
-    def quartic_samples(self) -> tuple[np.ndarray, StripGeometry]:
-        """Field sampled on the smallest grid, of fx*Nx by fy*Ny points,
-        that integrates u**4 exactly: fx the least of 1, 2, 4 with
-        4*n_max < fx*Nx (n_max the last x slot with a non-zero
-        coefficient; periodic trapezoid rule; only a live Nyquist slot
-        needs 4*Nx), fy = 1 when 2*J <= Ny (J the leading live y modes;
-        interior rectangle rule) and 2 otherwise.  Returns the samples
-        and their unweighted (b = 0) geometry, for the quadrature weights.
-        """
-        geom, c = self.geometry, _leading_modes(self.coeffs)
-        n_max = np.flatnonzero(c.any(axis=1)).max(initial=0)
-        fx = next(f for f in (1, 2, 4) if 4 * n_max < f * geom.Nx)
-        fy = 1 if 2 * c.shape[1] <= geom.Ny else 2
-        grid = StripGeometry(geom.B, geom.Lx, fx * geom.Nx, fy * geom.Ny)
-        if fx > 1:
-            c = np.pad(c, ((0, (fx - 1) * geom.Nx // 2), (0, 0)))
-            c[geom.Nx // 2] /= 2.0  # Nyquist splits into +/- pair
-        return to_grid(c, grid), grid
+
+def quartic_samples(coeffs: np.ndarray,
+                    geom: StripGeometry) -> tuple[np.ndarray, StripGeometry]:
+    """Coefficients of a field, or a stack of them (as :func:`to_grid`),
+    sampled on the smallest grid, of fx*Nx by fy*Ny points, that
+    integrates u**4 exactly: fx the least of 1, 2, 4 with 4*n_max < fx*Nx
+    (n_max the last x slot with a non-zero coefficient in any member;
+    periodic trapezoid rule; only a live Nyquist slot needs 4*Nx), fy = 1
+    when 2*J <= Ny (J the leading live y modes; interior rectangle rule)
+    and 2 otherwise.  Returns the samples, per member, and their
+    unweighted (b = 0) geometry, for the quadrature weights."""
+    c = _leading_modes(coeffs)
+    n_max = np.flatnonzero(c.any(-1).any(tuple(range(c.ndim - 2)))).max(initial=0)
+    fx = next(f for f in (1, 2, 4) if 4 * n_max < f * geom.Nx)
+    fy = 1 if 2 * c.shape[-1] <= geom.Ny else 2
+    grid = StripGeometry(geom.B, geom.Lx, fx * geom.Nx, fy * geom.Ny)
+    if n_max == geom.Nx // 2:  # a live Nyquist slot splits into a +/- pair
+        c = np.concatenate([c[..., :-1, :], c[..., -1:, :] / 2.0], axis=-2)
+    return to_grid(c, grid), grid  # its x irfft zero-pads the finer slots
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +473,24 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
     return InitialField(field, norm, tail)
 
 
+def random_blocks(geom: StripGeometry, seeds) -> np.ndarray:
+    """The verifiers' corpus: a stack (S, n, J), one member per seed, of
+    band-limited random fields of unit L2 norm stored on their live block
+    alone, the first n = max(1, Nx//6) + 1 x slots and J = max(1, Ny//3) y
+    modes (half the dealiasing band each way) in the full layout's order.
+    ``cli.verify_suite`` sizes its stacks from the grid.  One seeded normal
+    draw per field, then one Parseval pass and a Field's checks per stack."""
+    n, J = max(1, geom.Nx // 6) + 1, max(1, geom.Ny // 3)
+    c = np.array([np.random.default_rng(s).standard_normal((2, n, J)) for s in seeds])
+    c = c[:, 0] + 1j * c[:, 1]
+    c[:, 0] = c[:, 0].real  # mean mode of a real field is real
+    c *= (1.0 / np.sqrt(parseval_sums(c, _band(geom).w_l2[:n])[0]))[:, None, None]
+    _check_coeffs(c, c[:, 0])
+    return c
+
+
 def make_random_field(geom: StripGeometry, seed: int) -> Field:
-    """Band-limited random field with unit L2 norm.
-
-    Coefficients are drawn from a seeded normal distribution on the block
-    n <= max(1, Nx//6), j <= max(1, Ny//3) (half the dealiasing band in
-    each direction), making the corpus reproducible across runs.
-    """
-    nx_max = max(1, geom.Nx // 6)
-    j_max = max(1, geom.Ny // 3)
-
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros((geom.Nx // 2 + 1, geom.Ny), dtype=complex)
-    block = rng.standard_normal((nx_max + 1, j_max)) + 1j * rng.standard_normal(
-        (nx_max + 1, j_max)
-    )
-    block[0, :] = block[0, :].real  # mean mode of a real field is real
-    l2 = parseval_sums(block, _band(geom).w_l2[: nx_max + 1])[0]
-    coeffs[: nx_max + 1, :j_max] = block * float(1.0 / np.sqrt(l2))
-    return Field(geom, coeffs)
+    """The corpus field of one seed (:func:`random_blocks`)."""
+    c = random_blocks(geom, [seed])[0]
+    pad = [(0, geom.Nx // 2 + 1 - len(c)), (0, geom.Ny - len(c[0]))]
+    return Field(geom, np.pad(c, pad))

@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import _moments, _modes, weighted_sup
-from .fields import Field, _band, parseval_sums
+from .diagnostics import _moments, weighted_sup
+from .fields import Field, _band, parseval_sums, quartic_samples
+from .geometry import StripGeometry
 
 RELATIVE_SLACK = 1e-10
 
@@ -86,8 +87,28 @@ class InequalityCheck(NamedTuple):
     holds: bool
 
 
-def _holds(lhs: float, rhs: float) -> bool:
+def _holds(lhs, rhs):
     return lhs <= rhs * (1.0 + RELATIVE_SLACK) + 1e-300
+
+
+def _field_checks(sides, u: "Field", *args) -> list[InequalityCheck]:
+    lhs, rhs = sides(u.geometry, u.coeffs[None], *args)  # a stack of one
+    return [InequalityCheck(float(lhs[0]), float(r), bool(_holds(lhs[0], r)))
+            for r in np.atleast_1d(rhs[0])]
+
+
+# One implementation per inequality, ``*_sides(geom, c)``: both sides for
+# each member of a stack c (S, n, J) of full-layout coefficients, from one x
+# transform, one moment product and (GN, sup) one sine product; every sum
+# and maximum runs over one member's axes.  A stack's grids hold S*Nx*Ny
+# values, so cli.verify_suite sizes its stacks from the grid.
+
+def steklov_sides(geom: StripGeometry, c: np.ndarray):
+    """(e^{2bx}, u^2) and (B/pi)^2 (e^{2bx}, u_y^2) per member."""
+    a = _band(geom).x_modes(c)
+    m = _moments(geom, a, a)[..., 0, :]
+    lam = geom.eigenvalues()[: m.shape[-1]]
+    return np.sum(m, axis=-1), (geom.B / math.pi) ** 2 * np.vecdot(m, lam)
 
 
 def verify_steklov(u: "Field") -> InequalityCheck:
@@ -96,11 +117,18 @@ def verify_steklov(u: "Field") -> InequalityCheck:
     Equality is attained exactly on fields proportional to the first
     sine mode; mode j alone gives lhs = rhs / j**2.
     """
-    geom, a = u.geometry, _modes(u)
-    m = _moments(geom, a, a)[0]
-    lhs = float(np.sum(m))
-    rhs = (geom.B / math.pi) ** 2 * float(geom.eigenvalues()[: len(m)] @ m)
-    return InequalityCheck(lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs))
+    return _field_checks(steklov_sides, u)[0]
+
+
+def gn_sides(geom: StripGeometry, c: np.ndarray):
+    """||u||_{L4}^2 and 2 ||u|| ||grad u|| per member."""
+    vals, grid = quartic_samples(c, geom)
+    # the one grid sum of the package, unweighted: u**2 dotted with itself
+    sq = np.multiply(vals, vals, out=vals).reshape(len(c), -1)
+    l4sq = np.sqrt(grid.dx * grid.dy * np.vecdot(sq, sq))
+    band, (n, J) = _band(geom), c.shape[-2:]
+    l2sq, gradsq = parseval_sums(c, band.w_l2[:n], band.w_grad[:n, :J])
+    return l4sq, 2.0 * np.sqrt(l2sq) * np.sqrt(gradsq)
 
 
 def verify_gn(u: "Field") -> InequalityCheck:
@@ -108,16 +136,27 @@ def verify_gn(u: "Field") -> InequalityCheck:
 
     The field is treated as extended by zero outside the strip.  The L4
     norm is a grid sum on the smallest grid that integrates the quartic
-    exactly (:meth:`~zkbstrip.fields.Field.quartic_samples`).
+    exactly (:func:`~zkbstrip.fields.quartic_samples`).
     """
-    vals, grid = u.quartic_samples()
-    sq = vals * vals  # numpy's vals**4 is a libm pow call per element
-    # the one grid sum of the package: unweighted
-    l4sq = math.sqrt(grid.dy * float(np.sum(grid.dx * sq * sq)))
-    band = _band(u.geometry)
-    l2sq, gradsq = parseval_sums(u.coeffs, band.w_l2, band.w_grad)
-    rhs = 2.0 * math.sqrt(l2sq) * math.sqrt(gradsq)
-    return InequalityCheck(lhs=l4sq, rhs=rhs, holds=_holds(l4sq, rhs))
+    return _field_checks(gn_sides, u)[0]
+
+
+def sup_sides(geom: StripGeometry, c: np.ndarray, pairs):
+    """sup |e^{bx} u|^2 per member, and the rhs per member and pair."""
+    if not all(delta > 0 and delta1 > 0 for delta, delta1 in pairs):
+        raise ValueError(f"delta and delta1 must be positive, got {pairs}")
+    b = geom.b
+    a = _band(geom).x_modes(c, dx=True)
+    m, nj = _moments(geom, a, a)[..., 0, :], a.shape[-1] // 2
+    sup = weighted_sup(geom, a[..., :nj])
+    lam = geom.eigenvalues()[:nj]
+    dy_sq, dxy_sq = np.vecdot(m[..., :nj], lam), np.vecdot(m[..., nj:], lam)
+    dx_sq, sq = np.sum(m[..., nj:], axis=-1), np.sum(m[..., :nj], axis=-1)
+    rhs = [delta * (1.0 + 2.0 * b * b) * dy_sq + 2.0 * delta * dxy_sq
+           + (2.0 * delta1 / delta) * dx_sq
+           + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b) * sq
+           for delta, delta1 in pairs]
+    return sup * sup, np.stack(rhs, axis=-1)
 
 
 def verify_sup_lemma(u: "Field",
@@ -131,21 +170,4 @@ def verify_sup_lemma(u: "Field",
     for positive delta, delta1: one check per (delta, delta1) in pairs,
     with the weight rate b of the field's geometry.
     """
-    if not all(delta > 0 and delta1 > 0 for delta, delta1 in pairs):
-        raise ValueError(f"delta and delta1 must be positive, got {pairs}")
-    geom, b = u.geometry, u.geometry.b
-    a = _modes(u, dx=True)
-    m, nj = _moments(geom, a, a)[0], a.shape[1] // 2
-    sup = weighted_sup(geom, a[:, :nj])
-    lhs = sup * sup
-    lam = geom.eigenvalues()[:nj]
-    dy_sq, dxy_sq = float(lam @ m[:nj]), float(lam @ m[nj:])
-    dx_sq, sq = float(np.sum(m[nj:])), float(np.sum(m[:nj]))
-    rhs = [
-        delta * (1.0 + 2.0 * b * b) * dy_sq
-        + 2.0 * delta * dxy_sq
-        + (2.0 * delta1 / delta) * dx_sq
-        + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b) * sq
-        for delta, delta1 in pairs
-    ]
-    return [InequalityCheck(lhs=lhs, rhs=r, holds=_holds(lhs, r)) for r in rhs]
+    return _field_checks(sup_sides, u, pairs)

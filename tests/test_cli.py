@@ -10,14 +10,19 @@ import numpy as np
 import pytest
 
 from zkbstrip import (
+    Field,
     InitialData,
     TimeSeries,
     energy_residual,
     evolve,
     make_initial_field,
+    make_random_field,
+    verify_gn,
+    verify_steklov,
+    verify_sup_lemma,
     weighted_inner,
 )
-from zkbstrip import cli
+from zkbstrip import cli, theory
 from zkbstrip.cli import (
     CSV_HEADER,
     ConfigError,
@@ -614,6 +619,72 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "everything"])
         assert info.value.code == 1
+
+
+# the corpus suites' checks of one field, as verify_suite makes them
+PER_FIELD = {
+    "steklov": lambda u: [verify_steklov(u)],
+    "gn": lambda u: [verify_gn(u)],
+    "sup": lambda u: verify_sup_lemma(u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
+}
+
+
+def _margin(check):
+    return (check.rhs - check.lhs) / check.rhs
+
+
+class TestCorpusStacks:
+    """verify_suite checks its corpus a stack of fields at a time; its
+    report is that of the fields checked one at a time."""
+
+    GEOM = cli._verification_geometry()
+
+    def test_stacks_of_eight(self):
+        assert cli.STACK_GRID_VALUES // (self.GEOM.Nx * self.GEOM.Ny) == 8
+
+    @pytest.mark.parametrize("samples", [1, 7, 8, 9, 17, 200])
+    @pytest.mark.parametrize("suite", ["steklov", "gn", "sup"])
+    def test_matches_fields_one_at_a_time(self, suite, samples):
+        # a stack of one, a partial last stack, and whole ones
+        seed = 1000 + samples
+        checks = [c for i in range(samples)
+                  for c in PER_FIELD[suite](make_random_field(self.GEOM, seed + i))]
+        report = verify_suite(suite, samples, seed)
+        assert report["all_hold"] is all(c.holds for c in checks) is True
+        worst = min(_margin(c) for c in checks)
+        assert report["worst_margin"] == pytest.approx(worst, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("suite", ["steklov", "gn", "sup"])
+    def test_a_violating_member_is_its_own(self, monkeypatch, suite):
+        # one stack of nine whose member 5 has its (n = 0, j = 1) coefficient
+        # scaled 1000 times: close to w_1(y), constant in x, its lhs/rhs is
+        # far above every other member's in each inequality.  A slack
+        # lowered between the two makes member 5 the one violation.
+        g = self.GEOM
+        blocks = cli.random_blocks
+
+        def scaled(geom, seeds):
+            c = blocks(geom, seeds)
+            c[5, 0, 0] *= 1e3
+            return c
+
+        c = scaled(g, range(9))
+        pad = [(0, 0), (0, g.Nx // 2 + 1 - c.shape[1]), (0, g.Ny - c.shape[2])]
+        checks = [PER_FIELD[suite](Field(g, m)) for m in np.pad(c, pad)]
+        ratio = [max(ch.lhs / ch.rhs for ch in cs) for cs in checks]
+        others = max(ratio[:5] + ratio[6:])
+        assert ratio[5] > 5.0 * others
+        monkeypatch.setattr(theory, "RELATIVE_SLACK", math.sqrt(ratio[5] * others) - 1.0)
+        monkeypatch.setattr(cli, "STACK_GRID_VALUES", 9 * g.Nx * g.Ny)
+        monkeypatch.setattr(cli, "random_blocks", scaled)
+        report = verify_suite(suite, 9, 0)
+        assert report["all_hold"] is False
+        worst = min(_margin(ch) for ch in checks[5])
+        assert report["worst_margin"] == pytest.approx(worst, rel=1e-15, abs=0.0)
+        # each member's verdict is its own
+        lhs, rhs = cli._CORPUS_SUITES[suite](g, c)
+        held = theory._holds(lhs[:, None], rhs.reshape(9, -1)).all(axis=1)
+        assert held.tolist() == [k != 5 for k in range(9)]
 
 
 class TestUsageErrors:

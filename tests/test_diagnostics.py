@@ -27,7 +27,7 @@ from zkbstrip import (
 )
 from zkbstrip import fields as fields_module
 from zkbstrip.diagnostics import _modes, sample_field, weighted_sup
-from zkbstrip.fields import _Band, _band, to_grid
+from zkbstrip.fields import _Band, _band, quartic_samples, to_grid
 
 from conftest import weighted_dy_sq
 
@@ -273,12 +273,25 @@ class TestOneSynthesis:
         live = gaussian_mode_field(self.GEOM, j=2).coeffs.copy()
         live[-1, 1] = 1e-3
         us += [Field(self.GEOM, live), Field.zeros(self.GEOM)]
-        assert us[2].quartic_samples()[1].Nx == 4 * self.GEOM.Nx
+        assert quartic_samples(us[2].coeffs, us[2].geometry)[1].Nx == 4 * self.GEOM.Nx
         log = []
         _spy(monkeypatch, fields_module, "irfft", log)
         for u in us:
             diagnostic(u)
         assert len(log) == len(us)
+
+    @pytest.mark.parametrize("suite", ["steklov", "gn", "sup"])
+    def test_one_x_transform_per_stack(self, monkeypatch, suite):
+        # the corpus at 256x32 goes in stacks of 8 fields: 8 samples make
+        # one stack, 17 make stacks of 8, 8 and 1
+        from zkbstrip.cli import verify_suite
+
+        log = []
+        _spy(monkeypatch, fields_module, "irfft", log)
+        verify_suite(suite, 8, 0)
+        assert len(log) == 1
+        verify_suite(suite, 17, 0)
+        assert len(log) == 4
 
     def test_to_grid_and_sup_share_the_sine_product(self, monkeypatch):
         assert not hasattr(Field, "values")

@@ -15,7 +15,7 @@ from zkbstrip import (
     weighted_inner,
 )
 
-from zkbstrip.fields import _band, parseval_sums, to_grid
+from zkbstrip.fields import _band, parseval_sums, quartic_samples, random_blocks, to_grid
 
 from conftest import (
     reference_sine_values,
@@ -230,6 +230,19 @@ class TestRandomField:
         scaled = (f * (1.0 / np.sqrt(f.l2sq()))).coeffs
         np.testing.assert_allclose(got.coeffs, scaled, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("Nx,Ny", [(256, 32), (10, 7)])
+    def test_stack_members_are_the_seeds_fields(self, Nx, Ny):
+        # each member drawn and normalized on its own, bit for bit; a norm
+        # taken over the whole stack would scale every member alike
+        geom = StripGeometry(B=np.pi, Lx=10.0, Nx=Nx, Ny=Ny, b=0.1)
+        seeds = range(3, 12)
+        c = random_blocks(geom, seeds)
+        assert c.shape == (9, max(1, Nx // 6) + 1, max(1, Ny // 3))
+        for member, seed in zip(c, seeds):
+            full = make_random_field(geom, seed).coeffs
+            assert np.array_equal(full[: c.shape[1], : c.shape[2]], member)
+            assert not full[c.shape[1]:].any() and not full[:, c.shape[2]:].any()
+
     def test_band_limits(self, small_geom):
         # the block n <= Nx//6, j <= Ny//3: 21 x 5 on a 128 x 16 grid
         u = make_random_field(small_geom, seed=4)
@@ -264,7 +277,7 @@ class TestPaddedSynthesis:
         # a full-band field, its Nyquist slot live, needs the (4Nx, 2Ny) grid
         geom = StripGeometry(B=np.pi, Lx=10.0, Nx=Nx, Ny=Ny, b=0.1)
         u = Field(geom, _random_coeffs(Nx, Ny, seed=3))
-        vals, fine = u.quartic_samples()
+        vals, fine = quartic_samples(u.coeffs, u.geometry)
         assert (fine.Nx, fine.Ny) == (4 * Nx, 2 * Ny)
         pad = _padded(u.coeffs, fx=4)
         assert np.array_equal(vals, to_grid(pad, fine))
@@ -303,7 +316,7 @@ class TestQuarticGrid:
         c = np.zeros((Nx // 2 + 1, Ny), complex)
         c[: n_max + 1, :J] = _random_coeffs(2 * n_max, J, seed=n_max + J)
         u = Field(geom, c)
-        _, chosen = u.quartic_samples()
+        _, chosen = quartic_samples(u.coeffs, u.geometry)
         assert (chosen.Nx, chosen.Ny) == grid
         fine = StripGeometry(B=np.pi, Lx=10.0, Nx=2 * Nx, Ny=2 * Ny)
         vals = reference_to_grid(_padded(c), fine)
@@ -316,7 +329,7 @@ class TestQuarticGrid:
         geom = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
         u = make_initial_field(InitialData(kind="gaussian_mode", j=2), geom).field
         assert not u.coeffs[-1].any()
-        _, chosen = u.quartic_samples()
+        _, chosen = quartic_samples(u.coeffs, u.geometry)
         assert (chosen.Nx, chosen.Ny) == (512, 32)
         fine = StripGeometry(B=np.pi, Lx=10.0, Nx=1024, Ny=64)
         vals = reference_to_grid(_padded(u.coeffs, fx=4), fine)
@@ -330,7 +343,7 @@ class TestQuarticGrid:
         c = np.zeros((9, 4), complex)
         c[8, 0], c[1, 0] = 1.0, 0.5
         u = Field(geom, c)
-        _, chosen = u.quartic_samples()
+        _, chosen = quartic_samples(u.coeffs, u.geometry)
         assert (chosen.Nx, chosen.Ny) == (64, 4)
         fine = StripGeometry(B=3.0, Lx=4.0, Nx=64, Ny=8)
         vals = reference_to_grid(_padded(c, fx=4), fine)
