@@ -19,7 +19,6 @@ from .fields import (
     InitialField,
     SupportTooWideError,
     make_initial_field,
-    make_random_field,
 )
 from .geometry import (
     StripGeometry,
@@ -34,14 +33,10 @@ from .solver import (
     run,
 )
 from .theory import (
-    InequalityCheck,
     SmallnessCheck,
     TheoremConstants,
     check_smallness,
     constants_for_width,
-    verify_gn,
-    verify_steklov,
-    verify_sup_lemma,
 )
 
 __all__ = [
@@ -49,7 +44,6 @@ __all__ = [
     "BlowUpError",
     "DecayFit",
     "Field",
-    "InequalityCheck",
     "InitialData",
     "InitialField",
     "NormSample",
@@ -69,11 +63,7 @@ __all__ = [
     "fit_decay_rate",
     "linear_symbol",
     "make_initial_field",
-    "make_random_field",
     "run",
     "tail_mass",
-    "verify_gn",
-    "verify_steklov",
-    "verify_sup_lemma",
     "weighted_inner",
 ]

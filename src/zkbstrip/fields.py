@@ -298,17 +298,6 @@ class Field:
             )
         return cls(geometry, to_spectral(values, geometry))
 
-    @classmethod
-    def zeros(cls, geometry: StripGeometry) -> "Field":
-        return cls(geometry, np.zeros((geometry.Nx // 2 + 1, geometry.Ny), complex))
-
-    # -- calculus ------------------------------------------------------
-
-    def dx(self) -> "Field":
-        """Spectral x-derivative; the Nyquist slot is zeroed (it has no
-        consistent real representative)."""
-        return Field(self.geometry, self.coeffs * _band(self.geometry).ik)
-
     # -- norms -----------------------------------------------------------
 
     def l2sq(self) -> float:
@@ -415,8 +404,9 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
     keep only its column j - 1 of the transform; the others hold only
     rounding, and are set to exact zeros.  Their mode, and the x slot of
     single_mode data, must lie in the 2/3 band that a run steps.  The
-    norm and tail mass are those of the samples; the field returned then
-    drops the Nyquist row of these two kinds, as a run does.
+    norm is that of the samples; the field returned then drops the
+    Nyquist row of these two kinds, as a run does, and the tail mass
+    checked and reported is that of the field returned.
     """
     from .diagnostics import tail_mass as _tail_mass
 
@@ -460,16 +450,16 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
         field = field * (init.target_l2_norm / current)
 
     norm = float(np.sqrt(field.l2sq()))
+    if init.kind != "custom_samples":
+        # no run steps the Nyquist row; its rounding (-6.9e-18 for j = 2
+        # at 256x32) would send GN's quadrature to the 4Nx grid
+        field = Field(geom, np.pad(field.coeffs[:-1], ((0, 1), (0, 0))))
     tail = _tail_mass(field)
     if init.kind != "single_mode" and tail > TAIL_REJECT_THRESHOLD:
         raise SupportTooWideError(
             f"support too wide for truncation: initial tail mass {tail:.3e} > "
             f"{TAIL_REJECT_THRESHOLD:.0e}"
         )
-    if init.kind != "custom_samples":
-        # no run steps the Nyquist row; its rounding (-6.9e-18 for j = 2
-        # at 256x32) would send GN's quadrature to the 4Nx grid
-        field = Field(geom, np.pad(field.coeffs[:-1], ((0, 1), (0, 0))))
     return InitialField(field, norm, tail)
 
 
@@ -487,10 +477,3 @@ def random_blocks(geom: StripGeometry, seeds) -> np.ndarray:
     c *= (1.0 / np.sqrt(parseval_sums(c, _band(geom).w_l2[:n])[0]))[:, None, None]
     _check_coeffs(c, c[:, 0])
     return c
-
-
-def make_random_field(geom: StripGeometry, seed: int) -> Field:
-    """The corpus field of one seed (:func:`random_blocks`)."""
-    c = random_blocks(geom, [seed])[0]
-    pad = [(0, geom.Nx // 2 + 1 - len(c)), (0, geom.Ny - len(c[0]))]
-    return Field(geom, np.pad(c, pad))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import _moments, weighted_sup
-from .fields import Field, _band, parseval_sums, quartic_samples
+from .fields import _band, parseval_sums, quartic_samples
 from .geometry import StripGeometry
 
 RELATIVE_SLACK = 1e-10
@@ -81,20 +81,8 @@ def check_smallness(u0_norm: float, B: float, regime: str = "regular") -> Smalln
     return SmallnessCheck(ok=u0_norm <= threshold, margin=margin, threshold=threshold)
 
 
-class InequalityCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
 def _holds(lhs, rhs):
     return lhs <= rhs * (1.0 + RELATIVE_SLACK) + 1e-300
-
-
-def _field_checks(sides, u: "Field", *args) -> list[InequalityCheck]:
-    lhs, rhs = sides(u.geometry, u.coeffs[None], *args)  # a stack of one
-    return [InequalityCheck(float(lhs[0]), float(r), bool(_holds(lhs[0], r)))
-            for r in np.atleast_1d(rhs[0])]
 
 
 # One implementation per inequality, ``*_sides(geom, c)``: both sides for
@@ -104,24 +92,20 @@ def _field_checks(sides, u: "Field", *args) -> list[InequalityCheck]:
 # values, so cli.verify_suite sizes its stacks from the grid.
 
 def steklov_sides(geom: StripGeometry, c: np.ndarray):
-    """(e^{2bx}, u^2) and (B/pi)^2 (e^{2bx}, u_y^2) per member."""
+    """Weighted Poincare bound (e^{2bx}, u^2) <= (B/pi)^2 (e^{2bx}, u_y^2),
+    both sides per member.  Equality holds exactly on fields proportional
+    to the first sine mode; mode j alone gives lhs = rhs / j**2."""
     a = _band(geom).x_modes(c)
     m = _moments(geom, a, a)[..., 0, :]
     lam = geom.eigenvalues()[: m.shape[-1]]
     return np.sum(m, axis=-1), (geom.B / math.pi) ** 2 * np.vecdot(m, lam)
 
 
-def verify_steklov(u: "Field") -> InequalityCheck:
-    """Weighted Poincare bound (e^{2bx}, u^2) <= (B/pi)^2 (e^{2bx}, u_y^2).
-
-    Equality is attained exactly on fields proportional to the first
-    sine mode; mode j alone gives lhs = rhs / j**2.
-    """
-    return _field_checks(steklov_sides, u)[0]
-
-
 def gn_sides(geom: StripGeometry, c: np.ndarray):
-    """||u||_{L4}^2 and 2 ||u|| ||grad u|| per member."""
+    """Plane interpolation bound ||u||_{L4}^2 <= 2 ||u|| ||grad u||, the
+    field extended by zero outside the strip, both sides per member.  The
+    L4 norm is a grid sum on the smallest grid that integrates the quartic
+    exactly (:func:`~zkbstrip.fields.quartic_samples`)."""
     vals, grid = quartic_samples(c, geom)
     # the one grid sum of the package, unweighted: u**2 dotted with itself
     sq = np.multiply(vals, vals, out=vals).reshape(len(c), -1)
@@ -131,18 +115,15 @@ def gn_sides(geom: StripGeometry, c: np.ndarray):
     return l4sq, 2.0 * np.sqrt(l2sq) * np.sqrt(gradsq)
 
 
-def verify_gn(u: "Field") -> InequalityCheck:
-    """Plane interpolation bound ||u||_{L4}^2 <= 2 ||u|| ||grad u||.
-
-    The field is treated as extended by zero outside the strip.  The L4
-    norm is a grid sum on the smallest grid that integrates the quartic
-    exactly (:func:`~zkbstrip.fields.quartic_samples`).
-    """
-    return _field_checks(gn_sides, u)[0]
-
-
 def sup_sides(geom: StripGeometry, c: np.ndarray, pairs):
-    """sup |e^{bx} u|^2 per member, and the rhs per member and pair."""
+    """Weighted sup bound for fields vanishing at the channel walls,
+
+    sup |e^{bx} u|^2 <= delta*(1+2b^2)*(e^{2bx},u_y^2) + 2*delta*(e^{2bx},u_xy^2)
+                      + (2*delta1/delta)*(e^{2bx},u_x^2)
+                      + (1/delta)*(1/delta1 + 2*delta1*b^2)*(e^{2bx},u^2),
+
+    for positive delta, delta1 and the weight rate b of geom: the lhs per
+    member, and the rhs per member and (delta, delta1) in pairs."""
     if not all(delta > 0 and delta1 > 0 for delta, delta1 in pairs):
         raise ValueError(f"delta and delta1 must be positive, got {pairs}")
     b = geom.b
@@ -157,17 +138,3 @@ def sup_sides(geom: StripGeometry, c: np.ndarray, pairs):
            + (1.0 / delta) * (1.0 / delta1 + 2.0 * delta1 * b * b) * sq
            for delta, delta1 in pairs]
     return sup * sup, np.stack(rhs, axis=-1)
-
-
-def verify_sup_lemma(u: "Field",
-                     pairs: tuple[tuple[float, float], ...]) -> list[InequalityCheck]:
-    """Weighted sup bound for fields vanishing at the channel walls:
-
-    sup |e^{bx} u|^2 <= delta*(1+2b^2)*(e^{2bx},u_y^2) + 2*delta*(e^{2bx},u_xy^2)
-                      + (2*delta1/delta)*(e^{2bx},u_x^2)
-                      + (1/delta)*(1/delta1 + 2*delta1*b^2)*(e^{2bx},u^2),
-
-    for positive delta, delta1: one check per (delta, delta1) in pairs,
-    with the weight rate b of the field's geometry.
-    """
-    return _field_checks(sup_sides, u, pairs)

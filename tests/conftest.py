@@ -1,12 +1,52 @@
+import math
+from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.fft import dst, irfft, rfft
 
-from zkbstrip import Field, StripGeometry, evolve
+from zkbstrip import Field, StripGeometry, evolve, make_initial_field, run
 from zkbstrip.diagnostics import _moments, _modes
-from zkbstrip.fields import _band
+from zkbstrip.fields import _band, random_blocks
+from zkbstrip.theory import _holds
+
+
+def zeros(geom):
+    """The zero Field of geom."""
+    return Field(geom, np.zeros((geom.Nx // 2 + 1, geom.Ny), complex))
+
+
+def dx(u):
+    """The spectral x-derivative of u, by the band's i*k table (zero on
+    the Nyquist slot)."""
+    return Field(u.geometry, u.coeffs * _band(u.geometry).ik)
+
+
+def random_field(geom, seed):
+    """The corpus field of one seed: random_blocks' stack of one, padded
+    to the full layout."""
+    c = random_blocks(geom, [seed])[0]
+    pad = [(0, geom.Nx // 2 + 1 - len(c)), (0, geom.Ny - len(c[0]))]
+    return Field(geom, np.pad(c, pad))
+
+
+class Check(NamedTuple):
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def inequality(sides, u, *args):
+    """One inequality on the Field u: ``sides`` (``theory.steklov_sides``,
+    ``gn_sides`` or ``sup_sides``, with its further args) on the stack of
+    one u.coeffs[None].  One Check, or a list of them, one per rhs of
+    ``sup_sides``' pairs."""
+    lhs, rhs = sides(u.geometry, u.coeffs[None], *args)
+    checks = [Check(float(lhs[0]), float(r), bool(_holds(lhs[0], r)))
+              for r in np.atleast_1d(rhs[0])]
+    return checks if rhs.ndim > 1 else checks[0]
 
 
 # Reference transforms built on scipy.fft alone, independent of the
@@ -87,6 +127,35 @@ def final_field(u0, cfg):
     for _, u in evolve(u0, cfg):
         pass
     return u
+
+
+# The linear flow's exact weighted norm on the line.  For data
+# A exp(-(x - x0)^2/s^2) w_j(y), the transform of e^{bx} u is the data's
+# transform at xi + ib times exp(sigma(xi + ib, lambda_j) t) (the Fourier
+# contour shifted by ib, Pego & Weinstein 1994), and the Gaussian integral
+# gives W(t)/W(0) = exp(-r t) (1 + 4(1 + 3b) t/s^2)^(-1/2), with
+# W = (e^{2bx}, u^2) and r = 2b(lambda_j - b - b^2).  The bar sits far above
+# the worst deviation measured on paper-ref data at 256x32 to t = 1 (3.75e-14)
+# and far below that of lambda x 0.99 in the stepper (2.0e-3).
+LINEAR_ORACLE_BAR = 1e-12
+
+
+def linear_oracle_deviation():
+    """Worst relative deviation of w_l2 from the exact W(t), over every
+    sample of paper-ref data on 256x32 (Lx = 30) with nonlinear false, to
+    t = 1, a sample every 100 steps; the periodic box is clean there."""
+    from zkbstrip.cli import paper_ref_config
+
+    ref = paper_ref_config()
+    geom = replace(ref.geometry, Nx=256)
+    cfg = replace(ref.solver, t_end=1.0, output_every=100, nonlinear=False)
+    b, s = geom.b, ref.initial.s
+    r = 2.0 * b * (geom.eigenvalues()[ref.initial.j - 1] - b - b * b)
+    samples = run(make_initial_field(ref.initial, geom).field, cfg).samples
+    assert len(samples) == 11
+    return max(abs(smp.w_l2 / samples[0].w_l2 / (
+        math.exp(-r * smp.t) / math.sqrt(1.0 + 4.0 * (1.0 + 3.0 * b) * smp.t / s**2))
+        - 1.0) for smp in samples)
 
 
 def step_rows(monkeypatch, st) -> list[tuple[int, int]]:

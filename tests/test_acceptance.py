@@ -25,19 +25,18 @@ from zkbstrip import (
     fit_decay_rate,
     linear_symbol,
     make_initial_field,
-    make_random_field,
     run,
-    verify_gn,
-    verify_steklov,
-    verify_sup_lemma,
 )
 from zkbstrip.diagnostics import CONTAMINATION_THRESHOLD
 from zkbstrip.fields import to_grid
+from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
 from conftest import (
     coupling_coefficient,
     final_field,
+    inequality,
     nonlinear_term,
+    random_field,
     reference_sine_coeffs,
 )
 
@@ -121,21 +120,21 @@ def test_criterion_6_steklov_suite():
     profile = np.exp(-((x / 2.5) ** 2))
     w1 = evaluate_mode(1, SWEEP_GEOM.y_grid(), SWEEP_GEOM.B)
     u1 = Field.from_values(SWEEP_GEOM, profile[:, None] * w1[None, :])
-    lhs, rhs, holds = verify_steklov(u1)
+    lhs, rhs, holds = inequality(steklov_sides, u1)
     assert holds and abs(lhs - rhs) <= 1e-10 * rhs
 
     # mode ratio 1/j^2
     for j in range(1, 9):
         wj = evaluate_mode(j, SWEEP_GEOM.y_grid(), SWEEP_GEOM.B)
         uj = Field.from_values(SWEEP_GEOM, profile[:, None] * wj[None, :])
-        res = verify_steklov(uj)
+        res = inequality(steklov_sides, uj)
         assert abs(res.lhs - res.rhs / j**2) <= 1e-10 * res.rhs
 
     # seeded corpus
     worst = math.inf
     for seed in range(100):
-        u = make_random_field(SWEEP_GEOM, seed=seed)
-        res = verify_steklov(u)
+        u = random_field(SWEEP_GEOM, seed=seed)
+        res = inequality(steklov_sides, u)
         assert res.holds
         worst = min(worst, (res.rhs - res.lhs) / res.rhs)
     report(6, f"equality case exact to 1e-10, mode ratios 1/j^2 for j<=8, "
@@ -145,15 +144,15 @@ def test_criterion_6_steklov_suite():
 def test_criterion_7_gn_and_sup_suites():
     worst_gn = math.inf
     for seed in range(100):
-        u = make_random_field(SWEEP_GEOM, seed=seed)
-        res = verify_gn(u)
+        u = random_field(SWEEP_GEOM, seed=seed)
+        res = inequality(gn_sides, u)
         assert res.holds
         worst_gn = min(worst_gn, (res.rhs - res.lhs) / res.rhs)
 
     worst_sup = math.inf
     for seed in range(100):
-        u = make_random_field(SWEEP_GEOM, seed=1000 + seed)
-        (res,) = verify_sup_lemma(u, ((1.0, 1.0),))
+        u = random_field(SWEEP_GEOM, seed=1000 + seed)
+        (res,) = inequality(sup_sides, u, ((1.0, 1.0),))
         assert res.holds
         worst_sup = min(worst_sup, (res.rhs - res.lhs) / res.rhs)
     report(7, f"interpolation bound worst margin {worst_gn:.3e}; "

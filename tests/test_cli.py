@@ -12,14 +12,11 @@ import pytest
 from zkbstrip import (
     Field,
     InitialData,
+    SupportTooWideError,
     TimeSeries,
     energy_residual,
     evolve,
     make_initial_field,
-    make_random_field,
-    verify_gn,
-    verify_steklov,
-    verify_sup_lemma,
     weighted_inner,
 )
 from zkbstrip import cli, theory
@@ -37,8 +34,9 @@ from zkbstrip.cli import (
     verify_suite,
 )
 from zkbstrip.solver import BlowUpError, Trajectory, _stepper
+from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
-from conftest import step_rows
+from conftest import inequality, random_field, step_rows
 
 
 def base_doc(**overrides):
@@ -63,6 +61,9 @@ BLOW_UP_DOC = {
     "solver": {"dt": 1.0, "t_end": 30.0},
     "initial": {"kind": "gaussian_mode", "amplitude": 40.0, "s": 2.0},
 }
+# cdep's unit bump (s = 1) is rejected on BLOW_UP_DOC's 32 x points (tail
+# mass 3.578e-7 without its Nyquist slot) and accepted on 40 (3.0e-10)
+CDEP_BLOW_UP_GEOMETRY = {**BLOW_UP_DOC["geometry"], "Nx": 40}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -623,9 +624,9 @@ class TestVerifyCommand:
 
 # the corpus suites' checks of one field, as verify_suite makes them
 PER_FIELD = {
-    "steklov": lambda u: [verify_steklov(u)],
-    "gn": lambda u: [verify_gn(u)],
-    "sup": lambda u: verify_sup_lemma(u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
+    "steklov": lambda u: [inequality(steklov_sides, u)],
+    "gn": lambda u: [inequality(gn_sides, u)],
+    "sup": lambda u: inequality(sup_sides, u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
 }
 
 
@@ -648,7 +649,7 @@ class TestCorpusStacks:
         # a stack of one, a partial last stack, and whole ones
         seed = 1000 + samples
         checks = [c for i in range(samples)
-                  for c in PER_FIELD[suite](make_random_field(self.GEOM, seed + i))]
+                  for c in PER_FIELD[suite](random_field(self.GEOM, seed + i))]
         report = verify_suite(suite, samples, seed)
         assert report["all_hold"] is all(c.holds for c in checks) is True
         worst = min(_margin(c) for c in checks)
@@ -1010,7 +1011,7 @@ class TestCdepSchedule:
     def test_perturbed_blow_up_matches_runs_in_turn(self):
         # at eps = 50 the eps run blows up at t = 0.3, in its second
         # interval, while the base steps its third one, clean
-        doc = {**BLOW_UP_DOC,
+        doc = {**BLOW_UP_DOC, "geometry": CDEP_BLOW_UP_GEOMETRY,
                "solver": {"dt": 0.1, "t_end": 3.0, "output_every": 2},
                "initial": {"kind": "gaussian_mode", "amplitude": 0.2, "s": 2.0}}
         config = parse_config(json.dumps(doc))
@@ -1118,13 +1119,30 @@ class TestCdepCommand:
         assert capsys.readouterr().err == "error: eps must be finite and > 0\n"
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
+        # dt * max|Im sigma| = 36 on 40 x points, under the guard's 50; the
+        # runs blow up at t = 0.5, their first step
+        doc = {**BLOW_UP_DOC, "geometry": CDEP_BLOW_UP_GEOMETRY,
+               "solver": {"dt": 0.5, "t_end": 30.0},
+               "initial": {"kind": "gaussian_mode", "amplitude": 100.0, "s": 2.0}}
         out = tmp_path / "cdep"
-        code = main(["cdep", "--config", write_config(tmp_path, BLOW_UP_DOC),
+        code = main(["cdep", "--config", write_config(tmp_path, doc),
                      "--eps", "1e-3", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert re.fullmatch(
             r"blow-up at t = \S+ during continuous-dependence runs\n", err)
+        assert not (out / "cdep.json").exists()
+
+    def test_bump_too_wide_exits_1(self, tmp_path, capsys):
+        # the field a run steps, without its Nyquist slot, is checked
+        config = parse_config(json.dumps(BLOW_UP_DOC))
+        with pytest.raises(SupportTooWideError, match="tail mass 3.578e-07"):
+            cdep_experiment(config, 1e-3)
+        out = tmp_path / "cdep"
+        code = main(["cdep", "--config", write_config(tmp_path, BLOW_UP_DOC),
+                     "--eps", "1e-3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: support too wide")
         assert not (out / "cdep.json").exists()
 
     def test_base_contaminated_at_start(self, tmp_path, capsys):

@@ -17,19 +17,16 @@ from zkbstrip import (
     evaluate_mode,
     fit_decay_rate,
     make_initial_field,
-    make_random_field,
     run,
     tail_mass,
-    verify_gn,
-    verify_steklov,
-    verify_sup_lemma,
     weighted_inner,
 )
 from zkbstrip import fields as fields_module
 from zkbstrip.diagnostics import _modes, sample_field, weighted_sup
 from zkbstrip.fields import _Band, _band, quartic_samples, to_grid
+from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
-from conftest import weighted_dy_sq
+from conftest import dx, inequality, random_field, weighted_dy_sq, zeros
 
 
 def gaussian_mode_field(geom, amplitude=1.0, s=1.0, j=1):
@@ -50,13 +47,13 @@ def synthetic_series(times, values, geom=None):
 
 class TestWeightedInner:
     def test_unweighted_is_l2(self, small_geom):
-        u = make_random_field(replace(small_geom, b=0.0), seed=0)
+        u = random_field(replace(small_geom, b=0.0), seed=0)
         assert weighted_inner(u, u) == pytest.approx(u.l2sq(), rel=1e-12)
 
     def test_zero_field(self, small_geom):
         geom = replace(small_geom, b=0.3)
-        z = Field.zeros(geom)
-        u = make_random_field(geom, seed=1)
+        z = zeros(geom)
+        u = random_field(geom, seed=1)
         assert weighted_inner(z, u) == 0.0
 
     def test_gaussian_closed_form(self):
@@ -68,9 +65,9 @@ class TestWeightedInner:
 
     def test_symmetric_bilinear_positive(self, small_geom):
         geom = replace(small_geom, b=0.2)
-        u = make_random_field(geom, seed=2)
-        v = make_random_field(geom, seed=3)
-        w = make_random_field(geom, seed=4)
+        u = random_field(geom, seed=2)
+        v = random_field(geom, seed=3)
+        w = random_field(geom, seed=4)
         assert weighted_inner(u, v) == pytest.approx(
             weighted_inner(v, u), rel=1e-13
         )
@@ -83,7 +80,7 @@ class TestWeightedInner:
         other = StripGeometry(B=small_geom.B, Lx=small_geom.Lx,
                               Nx=small_geom.Nx * 2, Ny=small_geom.Ny)
         with pytest.raises(ValueError):
-            weighted_inner(Field.zeros(small_geom), Field.zeros(other))
+            weighted_inner(zeros(small_geom), zeros(other))
 
 
 class TestTailMass:
@@ -93,7 +90,7 @@ class TestTailMass:
         assert tail_mass(u) < 1e-30
 
     def test_zero_field_convention(self, small_geom):
-        assert tail_mass(Field.zeros(small_geom)) == 0.0
+        assert tail_mass(zeros(small_geom)) == 0.0
 
     def test_uniform_field_matches_weight_measure(self):
         # constant-in-x field: fraction = band weight / total weight
@@ -111,7 +108,7 @@ class TestTailMass:
 
 class TestEnergyResidual:
     def test_zero_run(self, small_geom):
-        series = run(Field.zeros(small_geom), SolverConfig(dt=0.01, t_end=0.05))
+        series = run(zeros(small_geom), SolverConfig(dt=0.01, t_end=0.05))
         assert energy_residual(series) == 0.0
 
     def test_empty_series(self, small_geom):
@@ -149,7 +146,7 @@ class TestWeightedDySq:
             return np.trapezoid(np.trapezoid(weight * f**2, y, axis=1), x)
 
         assert weighted_dy_sq(u) == pytest.approx(oracle(Uy), rel=1e-8)
-        assert weighted_dy_sq(u.dx()) == pytest.approx(oracle(Uxy), rel=1e-8)
+        assert weighted_dy_sq(dx(u)) == pytest.approx(oracle(Uxy), rel=1e-8)
 
 
 def _coeffs_with_modes(geom, n_live, seed):
@@ -200,7 +197,7 @@ class TestModeSpacePairing:
         g = self.GEOM
         u = Field(g, _coeffs_with_modes(g, n_live, seed=n_live))
         w = _reference_x_weights(g)
-        for v in (u, u.dx()):
+        for v in (u, dx(u)):
             modal = _untrimmed_x_modes(v.coeffs, g)
             expected = float(np.sum(w[:, None] * g.eigenvalues()[None, :]
                                     * modal**2))
@@ -222,7 +219,7 @@ class TestModeSpacePairing:
         assert np.array_equal(to_grid(c, g), grid)
 
     def test_zero_field(self):
-        z = Field.zeros(self.GEOM)
+        z = zeros(self.GEOM)
         grid = to_grid(z.coeffs, self.GEOM)
         assert grid.shape == (self.GEOM.Nx, self.GEOM.Ny)
         assert np.all(grid == 0.0)
@@ -232,13 +229,13 @@ class TestModeSpacePairing:
 
     def test_cached_weights_bit_identical(self):
         g = self.GEOM
-        u = make_random_field(g, seed=3)
+        u = random_field(g, seed=3)
         fresh = np.exp(g.b * g.x_grid())[:, None]
         grid = to_grid(u.coeffs, g)
         assert weighted_sup(g, _modes(u)) == float(np.max(np.abs(fresh * grid)))
         mult = 1j * g.wavenumbers()
         mult[-1] = 0.0
-        assert np.array_equal(u.dx().coeffs, u.coeffs * mult[:, None])
+        assert np.array_equal(dx(u).coeffs, u.coeffs * mult[:, None])
 
 
 def _spy(monkeypatch, owner, name, log):
@@ -260,19 +257,19 @@ class TestOneSynthesis:
 
     @pytest.mark.parametrize("diagnostic", [
         lambda u: sample_field(u, t=0.0, l2=u.l2sq(), diss_cum=0.0),
-        lambda u: verify_sup_lemma(u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
-        verify_steklov,
-        verify_gn,
+        lambda u: inequality(sup_sides, u, ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))),
+        lambda u: inequality(steklov_sides, u),
+        lambda u: inequality(gn_sides, u),
         tail_mass,
-    ], ids=["sample_field", "verify_sup_lemma", "verify_steklov", "verify_gn",
+    ], ids=["sample_field", "sup_sides", "steklov_sides", "gn_sides",
             "tail_mass"])
     def test_one_x_transform_per_field(self, monkeypatch, diagnostic):
         # corpus fields, sampled data of an even mode with its Nyquist
         # slot set live (GN's 4Nx grid), and a zero field
-        us = [make_random_field(self.GEOM, seed=s) for s in range(2)]
+        us = [random_field(self.GEOM, seed=s) for s in range(2)]
         live = gaussian_mode_field(self.GEOM, j=2).coeffs.copy()
         live[-1, 1] = 1e-3
-        us += [Field(self.GEOM, live), Field.zeros(self.GEOM)]
+        us += [Field(self.GEOM, live), zeros(self.GEOM)]
         assert quartic_samples(us[2].coeffs, us[2].geometry)[1].Nx == 4 * self.GEOM.Nx
         log = []
         _spy(monkeypatch, fields_module, "irfft", log)
@@ -299,7 +296,7 @@ class TestOneSynthesis:
         _spy(monkeypatch, fields_module, "irfft", log)
         for name in ("x_modes", "grid"):
             _spy(monkeypatch, _Band, name, log)
-        u = make_random_field(self.GEOM, seed=4)
+        u = random_field(self.GEOM, seed=4)
         grid = to_grid(u.coeffs, self.GEOM)
         assert log == ["x_modes", "irfft", "grid"]
         a = _modes(u)

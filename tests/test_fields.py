@@ -10,17 +10,21 @@ from zkbstrip import (
     SupportTooWideError,
     evaluate_mode,
     make_initial_field,
-    make_random_field,
-    verify_gn,
+    tail_mass,
     weighted_inner,
 )
 
 from zkbstrip.fields import _band, parseval_sums, quartic_samples, random_blocks, to_grid
+from zkbstrip.theory import gn_sides
 
 from conftest import (
+    dx,
+    inequality,
+    random_field,
     reference_sine_values,
     reference_to_grid,
     weighted_dy_sq,
+    zeros,
 )
 
 
@@ -44,7 +48,7 @@ class TestFieldBasics:
             Field(small_geom, c)
 
     def test_immutable(self, small_geom):
-        f = Field.zeros(small_geom)
+        f = zeros(small_geom)
         with pytest.raises(AttributeError):
             f.coeffs = None
 
@@ -52,12 +56,12 @@ class TestFieldBasics:
         other = StripGeometry(B=small_geom.B, Lx=small_geom.Lx,
                               Nx=small_geom.Nx, Ny=small_geom.Ny + 1, b=0.0)
         with pytest.raises(ValueError):
-            Field.zeros(small_geom) + Field.zeros(other)
+            zeros(small_geom) + zeros(other)
 
     def test_real_valuedness(self, small_geom):
         # reconstruct through the full complex spectrum; imaginary part of
         # the inverse transform must vanish
-        u = make_random_field(small_geom, seed=5)
+        u = random_field(small_geom, seed=5)
         full = np.zeros((small_geom.Nx, small_geom.Ny), complex)
         half = u.coeffs
         full[: half.shape[0]] = half
@@ -97,12 +101,12 @@ class TestDerivatives:
         w3 = evaluate_mode(3, g.y_grid(), g.B)
         f = Field.from_values(g, np.sin(2 * x)[:, None] * w3[None, :])
         expected = 2 * np.cos(2 * x)[:, None] * w3[None, :]
-        assert np.max(np.abs(to_grid(f.dx().coeffs, g) - expected)) < 1e-12
+        assert np.max(np.abs(to_grid(dx(f).coeffs, g) - expected)) < 1e-12
 
     def test_parseval_norms(self, small_geom):
-        u = make_random_field(replace(small_geom, b=0.0), seed=9)
+        u = random_field(replace(small_geom, b=0.0), seed=9)
         assert u.l2sq() == pytest.approx(weighted_inner(u, u), rel=1e-12)
-        grad_quad = weighted_inner(u.dx(), u.dx()) + weighted_dy_sq(u)
+        grad_quad = weighted_inner(dx(u), dx(u)) + weighted_dy_sq(u)
         gradsq = parseval_sums(u.coeffs, _band(u.geometry).w_grad)[0]
         assert gradsq == pytest.approx(grad_quad, rel=1e-11)
 
@@ -146,6 +150,27 @@ class TestInitialData:
             make_initial_field(
                 InitialData(kind="gaussian_mode", amplitude=1.0, s=20.0), g
             )
+
+    # cdep's perturbation: a unit-norm first-mode bump of width 1
+    UNIT_BUMP = InitialData(kind="gaussian_mode", amplitude=1.0, s=1.0, j=1,
+                            target_l2_norm=1.0)
+
+    def test_tail_of_the_field_a_run_steps_is_checked(self):
+        # on 32 x points the samples' tail mass passes the bar, but the
+        # field without its Nyquist slot, which a run steps, does not
+        g = StripGeometry(B=np.pi, Lx=10.0, Nx=32, Ny=4, b=0.0)
+        with pytest.raises(SupportTooWideError, match="tail mass 3.578e-07"):
+            make_initial_field(self.UNIT_BUMP, g)
+
+    @pytest.mark.parametrize("kind", ["gaussian_mode", "custom_samples"])
+    def test_reported_tail_is_the_returned_fields(self, kind):
+        g = StripGeometry(B=np.pi, Lx=10.0, Nx=40, Ny=4, b=0.0)
+        x, w1 = g.x_grid(), evaluate_mode(1, g.y_grid(), g.B)
+        init = (self.UNIT_BUMP if kind == "gaussian_mode" else InitialData(
+            kind=kind, values=np.exp(-(x**2))[:, None] * w1[None, :]))
+        fld, _, tail = make_initial_field(init, g)
+        assert 0.0 < tail < 1e-8
+        assert tail == tail_mass(fld)
 
     def test_single_mode_exempt_from_tail_guard(self):
         # periodic test data is legitimate even though it has no decay
@@ -202,9 +227,9 @@ class TestInitialData:
 
 class TestRandomField:
     def test_unit_norm_and_determinism(self, small_geom):
-        u1 = make_random_field(small_geom, seed=11)
-        u2 = make_random_field(small_geom, seed=11)
-        u3 = make_random_field(small_geom, seed=12)
+        u1 = random_field(small_geom, seed=11)
+        u2 = random_field(small_geom, seed=11)
+        u3 = random_field(small_geom, seed=12)
         assert u1.l2sq() == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert not np.array_equal(u1.coeffs, u3.coeffs)
@@ -221,7 +246,7 @@ class TestRandomField:
         block[0, :] = block[0, :].real
         l2 = parseval_sums(block, _band(geom).w_l2[: nx_max + 1])[0]
         c[: nx_max + 1, :j_max] = block * (1.0 / np.sqrt(l2))
-        got = make_random_field(geom, seed)
+        got = random_field(geom, seed)
         assert np.array_equal(got.coeffs, c)
         # and, to rounding, normalised through a second Field: the sum
         # over the full layout adds its zeros in another order
@@ -239,13 +264,13 @@ class TestRandomField:
         c = random_blocks(geom, seeds)
         assert c.shape == (9, max(1, Nx // 6) + 1, max(1, Ny // 3))
         for member, seed in zip(c, seeds):
-            full = make_random_field(geom, seed).coeffs
+            full = random_field(geom, seed).coeffs
             assert np.array_equal(full[: c.shape[1], : c.shape[2]], member)
             assert not full[c.shape[1]:].any() and not full[:, c.shape[2]:].any()
 
     def test_band_limits(self, small_geom):
         # the block n <= Nx//6, j <= Ny//3: 21 x 5 on a 128 x 16 grid
-        u = make_random_field(small_geom, seed=4)
+        u = random_field(small_geom, seed=4)
         nx_max, j_max = small_geom.Nx // 6, small_geom.Ny // 3
         assert np.all(u.coeffs[nx_max + 1:, :] == 0.0)
         assert np.all(u.coeffs[:, j_max:] == 0.0)
@@ -321,7 +346,7 @@ class TestQuarticGrid:
         fine = StripGeometry(B=np.pi, Lx=10.0, Nx=2 * Nx, Ny=2 * Ny)
         vals = reference_to_grid(_padded(c), fine)
         want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
-        assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert inequality(gn_sides, u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_sampled_gaussian_takes_the_doubled_grid(self):
         # sampling leaves -6.9e-18 in the Nyquist slot of this field, which
@@ -334,7 +359,7 @@ class TestQuarticGrid:
         fine = StripGeometry(B=np.pi, Lx=10.0, Nx=1024, Ny=64)
         vals = reference_to_grid(_padded(u.coeffs, fx=4), fine)
         want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
-        assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert inequality(gn_sides, u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_live_nyquist_slot_matches_quadrupled_grid(self):
         # 4*n_max = 2Nx aliases to the mean on the doubled grid, which
@@ -349,4 +374,4 @@ class TestQuarticGrid:
         vals = reference_to_grid(_padded(c, fx=4), fine)
         want = np.sqrt(fine.dx * fine.dy * np.sum(vals**4))
         assert want == pytest.approx(3.0, rel=1e-14)
-        assert verify_gn(u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert inequality(gn_sides, u).lhs == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -14,7 +14,6 @@ from zkbstrip import (
     evolve,
     linear_symbol,
     make_initial_field,
-    make_random_field,
     run,
     weighted_inner,
 )
@@ -30,13 +29,17 @@ from zkbstrip.solver import (
 )
 
 from conftest import (
+    LINEAR_ORACLE_BAR,
     coupling_coefficient,
     final_field,
+    linear_oracle_deviation,
     nonlinear_term,
+    random_field,
     reference_sine_coeffs,
     reference_to_grid,
     reference_to_spectral,
     step_rows,
+    zeros,
 )
 
 
@@ -123,7 +126,7 @@ class TestConfigValidation:
 class TestLinearExactness:
     def test_every_mode_evolves_by_exponential(self):
         g = StripGeometry(B=np.pi, Lx=5.0, Nx=64, Ny=8)
-        u = make_random_field(g, seed=8)
+        u = random_field(g, seed=8)
         cfg = SolverConfig(dt=0.01, t_end=0.1, nonlinear=False, output_every=10)
         final = final_field(u, cfg).coeffs
 
@@ -149,7 +152,7 @@ class TestLinearExactness:
 
     def test_zero_field_fixed_point(self):
         g = StripGeometry(B=np.pi, Lx=2.0, Nx=16, Ny=4)
-        f = Field.zeros(g)
+        f = zeros(g)
         fields = [u for _, u in evolve(f, SolverConfig(dt=0.01, t_end=0.01))]
         assert len(fields) == 2
         assert np.all(fields[-1].coeffs == 0.0)
@@ -179,15 +182,20 @@ class TestLinearExactness:
         assert np.angle(ratio) == pytest.approx(0.5, abs=1e-12)
 
 
+class TestLinearWeightedOracle:
+    def test_every_sample_matches_the_exact_weighted_norm(self):
+        assert linear_oracle_deviation() < LINEAR_ORACLE_BAR
+
+
 class TestNonlinearTerm:
     def test_zero(self, small_geom):
-        out = nonlinear_term(Field.zeros(small_geom))
+        out = nonlinear_term(zeros(small_geom))
         assert np.all(out.coeffs == 0.0)
 
     def test_skew_symmetry(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=96, Ny=12)
         for seed in range(5):
-            u = make_random_field(g, seed=seed)
+            u = random_field(g, seed=seed)
             pairing = weighted_inner(nonlinear_term(u), u)
             # cubic scale: ||u||^3-ish; fields are unit norm
             assert abs(pairing) < 1e-10
@@ -207,7 +215,7 @@ class TestNonlinearTerm:
 
     def test_dealias_removes_high_modes(self):
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=48, Ny=12)
-        u = make_random_field(g, seed=2)
+        u = random_field(g, seed=2)
         out = nonlinear_term(u)
         assert np.all(out.coeffs[16:, :] == 0.0)  # n >= Nx/3
         assert np.all(out.coeffs[:, 8:] == 0.0)   # j > 2*Ny/3
@@ -378,7 +386,7 @@ class TestInPlaceStep:
 
     def test_runs_differing_in_t_end_share_a_stepper(self):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
-        u0 = make_random_field(g, seed=2) * 0.1
+        u0 = random_field(g, seed=2) * 0.1
         _stepper.cache_clear()
         run(u0, SolverConfig(dt=1e-3, t_end=0.01))
         run(u0, SolverConfig(dt=1e-3, t_end=0.02, output_every=7))
@@ -427,7 +435,7 @@ class TestInPlaceStep:
         # may touch the product's scratch arrays
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         band = _band(g)
-        u0 = make_random_field(g, seed=5) * 0.2
+        u0 = random_field(g, seed=5) * 0.2
         other = Field(g, random_coeffs(g, seed=9))
         want = (to_grid(other.coeffs, g), band.x_modes(other.coeffs))
         cfg = SolverConfig(dt=1e-3, t_end=0.02)
@@ -534,7 +542,7 @@ class TestParitySplit:
 
 class TestRun:
     def test_zero_run(self, small_geom):
-        series = run(Field.zeros(small_geom), SolverConfig(dt=0.01, t_end=0.1))
+        series = run(zeros(small_geom), SolverConfig(dt=0.01, t_end=0.1))
         assert series.status == "clean"
         assert all(s.l2 == 0.0 and s.w_l2 == 0.0 for s in series.samples)
 
@@ -583,7 +591,7 @@ class TestRun:
         assert energy_residual(series) < 1e-6
 
     def test_times_strictly_increasing(self, small_geom):
-        u = make_random_field(small_geom, seed=1) * 1e-3
+        u = random_field(small_geom, seed=1) * 1e-3
         series = run(u, SolverConfig(dt=0.01, t_end=0.3, output_every=7))
         t = series.times()
         assert np.all(np.diff(t) > 0)
@@ -611,12 +619,12 @@ class TestRun:
         assert series.samples[-1].t == pytest.approx(2.0)
 
     def test_t_end_not_divisible(self, small_geom):
-        u = Field.zeros(small_geom)
+        u = zeros(small_geom)
         with pytest.raises(ValueError, match="integer number of steps"):
             run(u, SolverConfig(dt=0.007, t_end=0.1))
 
     def test_deterministic_reruns(self, small_geom):
-        u = make_random_field(small_geom, seed=6) * 0.1
+        u = random_field(small_geom, seed=6) * 0.1
         cfg = SolverConfig(dt=0.005, t_end=0.2, output_every=10)
         s1 = run(u, cfg)
         s2 = run(u, cfg)
@@ -630,13 +638,13 @@ class TestEvolve:
     """evolve yields each sample; run collects them."""
 
     def test_run_collects_the_samples_of_evolve(self, small_geom):
-        u = make_random_field(small_geom, seed=2) * 0.1
+        u = random_field(small_geom, seed=2) * 0.1
         cfg = SolverConfig(dt=0.005, t_end=0.1, output_every=7)
         assert run(u, cfg).samples == [s for s, _ in evolve(u, cfg)]
 
     def test_caller_that_stops_steps_no_further(self, monkeypatch):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
-        u0 = make_random_field(g, seed=3) * 0.1
+        u0 = random_field(g, seed=3) * 0.1
         cfg = SolverConfig(dt=1e-3, t_end=0.1, output_every=10)
         rows = step_rows(monkeypatch, _stepper(g, cfg.dt, 0, True))
         samples = evolve(u0, cfg)
@@ -692,7 +700,7 @@ class TestAdvance:
     def test_members_leave_at_their_own_samples(self, monkeypatch):
         # a run one sample ahead reaches t_end after 5 steps and leaves the
         # stack; the other steps on alone to its sample 5 steps later
-        u0s = [make_random_field(self.G, seed=s) * 0.1 for s in (1, 2)]
+        u0s = [random_field(self.G, seed=s) * 0.1 for s in (1, 2)]
         cfg = SolverConfig(dt=1e-3, t_end=0.025, output_every=10)
         apart = [list(evolve(u0, cfg)) for u0 in u0s]
         behind, ahead = (Trajectory(u0, cfg) for u0 in u0s)
@@ -726,7 +734,7 @@ class TestAdvance:
         # two members blow up at one stacked step: whatever their order,
         # the one at the earlier t is raised, with its samples
         cfg = SolverConfig(dt=1e-3, t_end=0.05, output_every=10)
-        early, late = (Trajectory(make_random_field(self.G, seed=s) * 0.1, cfg)
+        early, late = (Trajectory(random_field(self.G, seed=s) * 0.1, cfg)
                        for s in (1, 2))
         advance([early, late])
         advance([late])

@@ -13,17 +13,14 @@ from zkbstrip import (
     constants_for_width,
     evaluate_mode,
     make_initial_field,
-    make_random_field,
-    verify_gn,
-    verify_steklov,
-    verify_sup_lemma,
     weighted_inner,
 )
 from zkbstrip import theory
 from zkbstrip.diagnostics import _moments, _modes
 from zkbstrip.fields import quartic_samples, to_grid
+from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
-from conftest import weighted_dy_sq
+from conftest import dx, inequality, random_field, weighted_dy_sq, zeros
 
 VERIF_GEOM = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
 
@@ -105,25 +102,25 @@ def single_mode_field(j, geom=VERIF_GEOM, profile=None):
 class TestSteklov:
     def test_equality_on_first_mode(self):
         u = single_mode_field(1)
-        lhs, rhs, holds = verify_steklov(u)
+        lhs, rhs, holds = inequality(steklov_sides, u)
         assert holds
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_mode_ratio(self):
         for j in range(1, 9):
-            lhs, rhs, holds = verify_steklov(single_mode_field(j))
+            lhs, rhs, holds = inequality(steklov_sides, single_mode_field(j))
             assert holds
             assert lhs == pytest.approx(rhs / j**2, rel=1e-10)
 
     def test_random_sweep(self):
         for seed in range(20):
-            u = make_random_field(VERIF_GEOM, seed=seed)
-            assert verify_steklov(u).holds
+            u = random_field(VERIF_GEOM, seed=seed)
+            assert inequality(steklov_sides, u).holds
 
 
 class TestGagliardoNirenberg:
     def test_zero_field(self):
-        res = verify_gn(Field.zeros(VERIF_GEOM))
+        res = inequality(gn_sides, zeros(VERIF_GEOM))
         assert res.lhs == 0.0 and res.holds
 
     def test_radial_gaussian_desk_check(self):
@@ -142,8 +139,8 @@ class TestGagliardoNirenberg:
 
     def test_random_sweep(self):
         for seed in range(20):
-            u = make_random_field(VERIF_GEOM, seed=seed)
-            res = verify_gn(u)
+            u = random_field(VERIF_GEOM, seed=seed)
+            res = inequality(gn_sides, u)
             assert res.holds
             assert res.lhs > 0.0
 
@@ -152,7 +149,7 @@ class TestGagliardoNirenberg:
             InitialData(kind="gaussian_mode", amplitude=0.7, s=1.2, j=2),
             VERIF_GEOM,
         )
-        assert verify_gn(fld).holds
+        assert inequality(gn_sides, fld).holds
 
     def test_lhs_matches_pow_quadrature(self):
         # ||u||_{L4}^2 from vals**4 on the quadrature grid, where every
@@ -161,11 +158,11 @@ class TestGagliardoNirenberg:
             InitialData(kind="gaussian_mode", amplitude=0.7, s=1.2, j=2),
             VERIF_GEOM,
         )
-        corpus = [make_random_field(VERIF_GEOM, seed=s) for s in range(20)]
+        corpus = [random_field(VERIF_GEOM, seed=s) for s in range(20)]
         for u in [*corpus, fld]:
             vals, grid = quartic_samples(u.coeffs, u.geometry)
             ref = math.sqrt(grid.dx * grid.dy * float(np.sum(vals**4)))
-            assert verify_gn(u).lhs == pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert inequality(gn_sides, u).lhs == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestSupLemma:
@@ -174,7 +171,7 @@ class TestSupLemma:
     PAIRS = ((0.1, 1.0), (1.0, 0.5), (10.0, 2.0), (0.3, 7.0))
 
     def test_zero_field(self):
-        (res,) = verify_sup_lemma(Field.zeros(VERIF_GEOM), ((1.0, 1.0),))
+        (res,) = inequality(sup_sides, zeros(VERIF_GEOM), ((1.0, 1.0),))
         assert res.lhs == 0.0 and res.holds
 
     def test_gaussian_example(self):
@@ -182,24 +179,24 @@ class TestSupLemma:
             InitialData(kind="gaussian_mode", amplitude=1.0, s=1.0, j=1),
             VERIF_GEOM,
         )
-        (res,) = verify_sup_lemma(fld, ((1.0, 1.0),))
+        (res,) = inequality(sup_sides, fld, ((1.0, 1.0),))
         assert res.holds
         assert res.lhs > 0.0 and res.rhs > res.lhs
 
     def test_delta_sweep(self):
         pairs = ((0.1, 1.0), (1.0, 1.0), (10.0, 1.0))
         for seed in range(20):
-            u = make_random_field(VERIF_GEOM, seed=seed)
-            checks = verify_sup_lemma(u, pairs)
+            u = random_field(VERIF_GEOM, seed=seed)
+            checks = inequality(sup_sides, u, pairs)
             assert len(checks) == 3
             assert all(c.holds for c in checks)
 
     def test_invalid_parameters(self):
-        u = Field.zeros(VERIF_GEOM)
+        u = zeros(VERIF_GEOM)
         with pytest.raises(ValueError):
-            verify_sup_lemma(u, ((0.0, 1.0),))
+            inequality(sup_sides, u, ((0.0, 1.0),))
         with pytest.raises(ValueError):
-            verify_sup_lemma(u, ((1.0, -2.0),))
+            inequality(sup_sides, u, ((1.0, -2.0),))
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
@@ -215,15 +212,15 @@ class TestSupLemma:
         monkeypatch.setattr(theory, "_moments", no_work)
         pairs = [(0.1, 1.0), (1.0, 1.0), (10.0, 1.0)]
         pairs[position] = bad
-        u = make_random_field(VERIF_GEOM, seed=0)
+        u = random_field(VERIF_GEOM, seed=0)
         with pytest.raises(ValueError, match="must be positive"):
-            verify_sup_lemma(u, tuple(pairs))
+            inequality(sup_sides, u, tuple(pairs))
 
     def test_shared_integrals_match_per_pair_evaluation(self):
         b, lam = VERIF_GEOM.b, VERIF_GEOM.eigenvalues()
         for seed in range(20):
-            u = make_random_field(VERIF_GEOM, seed=seed)
-            ux = u.dx()
+            u = random_field(VERIF_GEOM, seed=seed)
+            ux = dx(u)
             weight = np.exp(b * VERIF_GEOM.x_grid())[:, None]
             sup = float(np.max(np.abs(weight * to_grid(u.coeffs, VERIF_GEOM))))
             # the moments of u and u_x side by side, from two transforms
@@ -237,7 +234,7 @@ class TestSupLemma:
             alone = (weighted_dy_sq(u), weighted_dy_sq(ux),
                      weighted_inner(ux, ux), weighted_inner(u, u))
             assert shared == pytest.approx(alone, rel=1e-14, abs=0.0)
-            checks = verify_sup_lemma(u, self.PAIRS)
+            checks = inequality(sup_sides, u, self.PAIRS)
             assert len(checks) == len(self.PAIRS)
             for (delta, delta1), check in zip(self.PAIRS, checks):
                 # the lemma's rhs, evaluated afresh for this pair alone
@@ -260,8 +257,8 @@ class TestHypothesisProperties:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_steklov_holds_for_any_seed(self, seed):
-        u = make_random_field(VERIF_GEOM, seed=seed)
-        assert verify_steklov(u).holds
+        u = random_field(VERIF_GEOM, seed=seed)
+        assert inequality(steklov_sides, u).holds
 
     @given(
         width=st.floats(min_value=0.05, max_value=100.0,
