@@ -75,7 +75,7 @@ class _Band:
     per-slot factor, ``slot``, which the stepper folds into its ETDRK4
     weights, so :meth:`square` returns the band spectrum of u**2
     itself.  It writes its x samples, grid values and spectrum into
-    scratch arrays made on its first call of each state shape, so a band
+    scratch arrays made on its first call of each stack shape, so a band
     that only serves the transforms below never holds them; the rfft
     output is also the padded irfft input.  One band per geometry also serves
     :func:`to_spectral` and, outside the stepper, the one way from
@@ -135,7 +135,7 @@ class _Band:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
-        self._scratch = {}  # per state shape, made on first use
+        self._scratch = {}  # per stack shape, made on first use
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Full-layout (Nx//2+1, Ny) coefficients -> contiguous band
@@ -166,34 +166,34 @@ class _Band:
         return (a @ self.sines[:, : a.shape[-1]].T) * self.mode_scale
 
     def square(self, a: np.ndarray) -> np.ndarray:
-        """(u**2)^ on the band, from the band coefficients a of u, one (n, nb)
-        state or a C-contiguous stack (S, n, nb) (one x irfft of all rows,
-        one sine product each way broadcast over the stack, one rfft), in
-        scratch that the next product overwrites.  n = n_odd odd rows stand
-        for data with an all-zero even block, whose square has one too:
-        the product then takes the half grid and returns the odd rows."""
+        """(u**2)^ on the band, from the band coefficients of u, a
+        C-contiguous stack (S, n, nb) (one x irfft of all rows, one sine
+        product each way broadcast over the stack, one rfft; an (n, nb)
+        state squares as a stack of one), in scratch that the next product
+        overwrites.  n = n_odd odd rows stand for data with an all-zero
+        even block, whose square has one too: the product then takes the
+        half grid and returns the odd rows."""
         g = self.geom
-        *lead, n, _ = a.shape
+        c = a.reshape(-1, *a.shape[-2:])
+        S, n, _ = c.shape
         synthesis, analysis = ((self.synthesis, self.analysis) if n == self.nj
                                else (self.synthesis_odd, self.analysis_odd))
-        if a.shape not in self._scratch:  # x samples each way, u then u^2
-            self._scratch[a.shape] = (
-                np.empty((*lead, n, g.Nx)), np.empty((*lead, len(synthesis), g.Nx)),
-                np.empty((*lead, n, g.Nx // 2 + 1), dtype=complex), np.empty_like(a))
-            if lead:  # one state squares in the first member's scratch
-                self._scratch[a.shape[1:]] = tuple(t[0] for t in self._scratch[a.shape])
-        xs, u, spec, out = self._scratch[a.shape]
-        spec[..., : self.nb] = a  # the padded irfft input, then the rfft output
+        if c.shape not in self._scratch:  # x samples each way, u then u^2
+            self._scratch[c.shape] = (
+                np.empty((S, n, g.Nx)), np.empty((S, len(synthesis), g.Nx)),
+                np.empty((S, n, g.Nx // 2 + 1), dtype=complex), np.empty_like(c))
+        xs, u, spec, out = self._scratch[c.shape]
+        spec[..., : self.nb] = c  # the padded irfft input, then the rfft output
         spec[..., self.nb :] = 0.0
         irfft(spec, n=g.Nx, axis=-1, out=xs)
         np.matmul(synthesis, xs, out=u)
         np.multiply(u, u, out=u)
         np.matmul(analysis, u, out=xs)
         rfft(xs, axis=-1, out=spec)
-        # contiguous for the stepper: numpy's ufuncs copy a strided 2-D
+        # contiguous for the stepper: numpy's ufuncs copy a strided
         # operand into a buffer of its full size
         np.copyto(out, spec[..., : self.nb])
-        return out
+        return out.reshape(a.shape)
 
 
 @lru_cache(maxsize=32)
@@ -224,7 +224,7 @@ def to_grid(coeffs: np.ndarray, geom: StripGeometry) -> np.ndarray:
 def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]:
     """Squared norms sum(w * |coeffs|**2), one per Parseval weight table
     w of :class:`_Band` or of the stepper, each |coeffs|**2 made once;
-    for a stack (S, n, J) of full-layout ones, one sum per member.
+    for a stack (S, n, J) of either layout, one sum per member.
 
     A table of length 1 along one axis (y: (n, 1) in the full layout,
     (1, nb) in the band one) weights the power summed along that axis,
@@ -248,13 +248,13 @@ def parseval_sums(coeffs: np.ndarray, *weights: np.ndarray) -> tuple[float, ...]
 
 
 def _summed_power(flat: np.ndarray, axis: int) -> np.ndarray:
-    """|c|**2 summed along one axis of a 2-D complex array c (along axis
-    1 also of a stack of them), from its float view flat (real and
-    imaginary parts interleaved along the last axis)."""
+    """|c|**2 summed along one of the last two axes of a complex array c,
+    2-D or a stack of them, from its float view flat (real and imaginary
+    parts interleaved along the last axis)."""
     if axis == 1:
         return np.einsum("...ij,...ij->...i", flat, flat)
-    parts = np.einsum("ij,ij->j", flat, flat)
-    return parts[0::2] + parts[1::2]
+    parts = np.einsum("...ij,...ij->...j", flat, flat)
+    return parts[..., 0::2] + parts[..., 1::2]
 
 
 def _check_coeffs(coeffs: np.ndarray, *real_rows: np.ndarray) -> None:
@@ -394,19 +394,19 @@ class SupportTooWideError(ValueError):
 
 
 def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
-    """Sample initial data on the grid and report its norm and tail mass.
+    """Sample initial data on the grid; return the field a run steps, the
+    samples' 2/3 band projection, with its norm and tail mass.
 
-    Localized kinds (gaussian_mode, custom_samples) are rejected when the
-    weighted tail mass exceeds 1e-8: such data cannot be represented
+    Data holding more than 1e-8 of its squared norm off the band (x slots
+    n >= nb, the Nyquist one among them, or y modes j > nj) is refused.
+    Localized kinds (gaussian_mode, custom_samples) are also rejected when
+    the weighted tail mass exceeds 1e-8: such data cannot be represented
     faithfully on the truncated domain.  single_mode data is exempt; it
     is periodic by construction and used for linear exactness tests, not
     for decay experiments.  Both kinds that sample one sine mode w_j
     keep only its column j - 1 of the transform; the others hold only
     rounding, and are set to exact zeros.  Their mode, and the x slot of
-    single_mode data, must lie in the 2/3 band that a run steps.  The
-    norm is that of the samples; the field returned then drops the
-    Nyquist row of these two kinds, as a run does, and the tail mass
-    checked and reported is that of the field returned.
+    single_mode data, must lie in the band.
     """
     from .diagnostics import tail_mass as _tail_mass
 
@@ -426,8 +426,7 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
         n = init.k * geom.Lx / np.pi
         if abs(n - round(n)) > 1e-9:
             raise ValueError(
-                f"wavenumber k={init.k} is not an integer multiple of pi/Lx"
-            )
+                f"wavenumber k={init.k} is not an integer multiple of pi/Lx")
         if round(n) > geom.Nx // 2:
             raise ValueError(f"wavenumber k={init.k} not representable on the grid")
         if abs(round(n)) >= nb:
@@ -449,17 +448,18 @@ def make_initial_field(init: InitialData, geom: StripGeometry) -> InitialField:
             raise ValueError("cannot rescale a zero field to a target norm")
         field = field * (init.target_l2_norm / current)
 
+    band = _band(geom)
+    samples, field = field, Field(geom, band.scatter(band.gather(field.coeffs)))
+    lost = (samples - field).l2sq() / (samples.l2sq() or 1.0)
+    if lost > TAIL_REJECT_THRESHOLD:
+        raise ValueError(f"initial data outside the 2/3 band n < {nb}, j <= {nj}: "
+                         f"{lost:.3e} of its squared norm > {TAIL_REJECT_THRESHOLD:.0e}")
     norm = float(np.sqrt(field.l2sq()))
-    if init.kind != "custom_samples":
-        # no run steps the Nyquist row; its rounding (-6.9e-18 for j = 2
-        # at 256x32) would send GN's quadrature to the 4Nx grid
-        field = Field(geom, np.pad(field.coeffs[:-1], ((0, 1), (0, 0))))
     tail = _tail_mass(field)
     if init.kind != "single_mode" and tail > TAIL_REJECT_THRESHOLD:
         raise SupportTooWideError(
             f"support too wide for truncation: initial tail mass {tail:.3e} > "
-            f"{TAIL_REJECT_THRESHOLD:.0e}"
-        )
+            f"{TAIL_REJECT_THRESHOLD:.0e}")
     return InitialField(field, norm, tail)
 
 

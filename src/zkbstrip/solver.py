@@ -16,8 +16,9 @@ pseudospectrally as 0.5*d/dx(u^2) with 2/3-rule dealiasing, which keeps
 the discrete pairing (u*u_x, u) at exact zero.  A run's state holds
 only the coefficients inside the 2/3 band, n y modes by x slots with x
 contiguous, odd modes first; :func:`advance`, the one stepping loop,
-steps the runs on one stepper with one n as one stack (S, n, nb), one
-band product per stage for all S.  The full (Nx//2+1, Ny) layout of a
+steps runs that share a stepper and n as one stack (S, n, nb), one band
+product per stage and one Parseval pass per step for all S (a run alone
+is a stack of one).  The full (Nx//2+1, Ny) layout of a
 Field is rebuilt only for output: :func:`evolve` advances one run, and
 :func:`run` keeps its samples.
 The equation and the Dirichlet conditions are unchanged by y -> B - y,
@@ -144,8 +145,8 @@ class Stepper:
     n the band's nj rows or the n_odd of its odd block alone; an (n, nb)
     array steps as a stack of one.  Every coefficient table below has
     the (nj, nb) shape of the band, or (1, nb) for the norm weights; a
-    step runs its stage sums on the S*n rows of the stack, against the
-    leading n rows of each table tiled S times.  The weights M, f1, f2,
+    step runs its stage sums on the stack, against the leading n rows of
+    each table tiled to (S, n, nb).  The weights M, f1, f2,
     f3 carry the derivative factor ``band.slot``.  The tables are frozen
     (the stepper is shared through a cache); its stage buffers make a
     step safe from one call to the next, not across threads.
@@ -176,30 +177,25 @@ class Stepper:
         self._rows = {}  # per (S, n): the tables, then four stage buffers
 
     def _stack(self, S: int, n: int) -> tuple[np.ndarray, ...]:
-        """Each table's leading n rows, tiled S times for S > 1 (broadcast
+        """Each table's leading n rows, tiled to (S, n, nb) (broadcast
         tables lose numpy's contiguous fast path), and stage buffers."""
-        tables = [t[:n] if S == 1 else np.tile(t[:n], (S, 1)) for t in (
+        tables = [t[None, :n] if S == 1 else np.tile(t[:n], (S, 1, 1)) for t in (
             self.E, self.E2, self.M, self.f1, self.f2, self.f3)]
         for table in tables:
             table.setflags(write=False)
-        stages = [np.empty_like(tables[0]) for _ in range(4)]
-        self._rows[S, n] = (*tables, *stages)
-        if S > 1:  # one state steps in the first rows of the stack's buffers
-            self._rows[1, n] = (*(t[:n] for t in tables), *(b[:n] for b in stages))
+        self._rows[S, n] = (*tables, *(np.empty_like(tables[0]) for _ in range(4)))
         return self._rows[S, n]
 
-    def nonlinear_rhs(self, c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """(u^2)^ on the band of the rows c of a state or stack of that shape,
-        rows like c in scratch; the weights turn it into -(u u_x)^hat."""
-        return self.band.square(c.reshape(shape)).reshape(c.shape)
+    def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
+        """(u^2)^ on the band of a stack c, in the band's scratch; the
+        weights turn it into -(u u_x)^hat."""
+        return self.band.square(c)
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
         shape = c.shape
-        c = c.reshape(-1, c.shape[-1])  # every stage sum runs on all S*n rows
-        key = (len(c) // shape[-2], shape[-2])
-        square = shape if key[0] > 1 else shape[-2:]  # one state: 2-D products
-        E, E2, M, f1, f2, f3, e2c, n0, a, tmp = (self._rows.get(key)
-                                                 or self._stack(*key))
+        c = c.reshape(-1, *shape[-2:])  # an (n, nb) state: a stack of one
+        E, E2, M, f1, f2, f3, e2c, n0, a, tmp = (self._rows.get(c.shape[:2])
+                                                 or self._stack(*c.shape[:2]))
         if not self.nonlinear:
             return (E * c).reshape(shape)
         # Each stage sum of
@@ -209,22 +205,22 @@ class Stepper:
         # scratch, used up before the next one; only n0 is kept.
         out = np.multiply(E, c)
         np.multiply(E2, c, out=e2c)
-        n = self.nonlinear_rhs(c, square)
+        n = self.nonlinear_rhs(c)
         np.copyto(n0, n)
         out += np.multiply(f1, n, out=n)
         np.multiply(M, n0, out=a)
         a += e2c
-        n = self.nonlinear_rhs(a, square)
+        n = self.nonlinear_rhs(a)
         b = np.multiply(M, n, out=tmp)
         b += e2c
         out += np.multiply(f2, n, out=n)
-        n = self.nonlinear_rhs(b, square)
+        n = self.nonlinear_rhs(b)
         out += np.multiply(f2, n, out=tmp)
         n *= 2.0
         n -= n0
         cc = np.multiply(E2, a, out=a)
         cc += np.multiply(M, n, out=n)
-        n = self.nonlinear_rhs(cc, square)
+        n = self.nonlinear_rhs(cc)
         out += np.multiply(f3, n, out=n)
         return out.reshape(shape)
 
@@ -252,7 +248,8 @@ class Trajectory:
                              f"of steps of {cfg.dt}")
         self.step = self.target = 0  # target: the next sample's step; None when done
         self.samples = []  # for BlowUpError too
-        self.l2, dxsq = parseval_sums(self.state[0], st.w_l2, st.w_dx)
+        (self.l2,), (dxsq,) = (s.tolist() for s in parseval_sums(
+            self.state, st.w_l2, st.w_dx))
         self.limit = max(BLOWUP_NORM_FACTOR**2 * self.l2, 1e-300)
         self.diss = 0.0
         self.f = 2.0 * dxsq  # the dissipation integrand at this step
@@ -268,37 +265,39 @@ class Trajectory:
 
 def advance(runs: list[Trajectory]) -> list[tuple[NormSample, Field]]:
     """Step each run, none of them done, to its next sample (t = 0 takes
-    no step) and record it: ``(sample, u)`` of each, in order.  Runs on
-    one stepper with one row count step as one stack, longest to go
-    first, so a run leaves from its end at its sample; stacks of other
-    row counts step in turn.  :class:`BlowUpError`, with its samples so
-    far, is raised for the run with the earliest t among those that blow
-    up at one step."""
+    no step) and record it: ``(sample, u)`` of each, in order.  The runs
+    step as one stack, so they must share one stepper and one row count
+    (:class:`ValueError` otherwise, before any is recorded or stepped);
+    longest to go first, so a run leaves from its end at its sample.  The
+    per-step norms of all are one Parseval pass of the stack.
+    :class:`BlowUpError`, with its samples so far, is raised for the run
+    with the earliest t among those that blow up at one step."""
+    st, n = runs[0].stepper, runs[0].state.shape[1]
+    if any(r.stepper is not st or r.state.shape[1] != n for r in runs):
+        raise ValueError("advance steps one stack: its runs must share one "
+                         "stepper and one row count")
     got = {r: r._record() for r in runs if r.step == r.target}
-    stacks = {}
-    for r in sorted((r for r in runs if r not in got), key=lambda r: r.step - r.target):
-        stacks.setdefault((r.stepper, len(r.state[0])), []).append(r)
-    stacks = [(m, np.concatenate([r.state for r in m])) for m in stacks.values()]
-    while stacks:
-        stacks = [(m, m[0].stepper.step_erk4(c)) for m, c in stacks]
+    m = sorted((r for r in runs if r not in got), key=lambda r: r.step - r.target)
+    c = np.concatenate([r.state for r in m]) if m else None
+    while m:
+        c = st.step_erk4(c)
         blown = []
-        for m, c in stacks:
-            for r, row in zip(m, c):  # the per-step norms, ledger and check
-                r.step += 1
-                r.l2, dxsq = parseval_sums(row, r.stepper.w_l2, r.stepper.w_dx)
-                r.diss += 0.5 * r.cfg.dt * (r.f + 2.0 * dxsq)
-                r.f = 2.0 * dxsq
-                if not math.isfinite(r.l2) or r.l2 > r.limit:
-                    blown.append(r)
+        for r, l2, dxsq in zip(m, *(s.tolist() for s in parseval_sums(
+                c, st.w_l2, st.w_dx))):  # the ledger and blow-up check
+            r.step += 1
+            r.l2 = l2
+            r.diss += 0.5 * r.cfg.dt * (r.f + 2.0 * dxsq)
+            r.f = 2.0 * dxsq
+            if not math.isfinite(l2) or l2 > r.limit:
+                blown.append(r)
         if blown:
             r = min(blown, key=lambda r: r.step * r.cfg.dt)
             raise BlowUpError(r.step * r.cfg.dt, r.l2, TimeSeries(r.geom, r.samples))
-        for m, c in stacks:
-            while m and m[-1].step == m[-1].target:
-                r = m.pop()
-                r.state = c[len(m) : len(m) + 1]
-                got[r] = r._record()
-        stacks = [(m, c[: len(m)]) for m, c in stacks if m]
+        while m and m[-1].step == m[-1].target:
+            r = m.pop()
+            r.state = c[len(m) : len(m) + 1]
+            got[r] = r._record()
+        c = c[: len(m)]
     return [got[r] for r in runs]
 
 

@@ -12,7 +12,6 @@ import pytest
 from zkbstrip import (
     Field,
     InitialData,
-    SupportTooWideError,
     TimeSeries,
     energy_residual,
     evolve,
@@ -61,9 +60,10 @@ BLOW_UP_DOC = {
     "solver": {"dt": 1.0, "t_end": 30.0},
     "initial": {"kind": "gaussian_mode", "amplitude": 40.0, "s": 2.0},
 }
-# cdep's unit bump (s = 1) is rejected on BLOW_UP_DOC's 32 x points (tail
-# mass 3.578e-7 without its Nyquist slot) and accepted on 40 (3.0e-10)
-CDEP_BLOW_UP_GEOMETRY = {**BLOW_UP_DOC["geometry"], "Nx": 40}
+# cdep's unit bump (s = 1) is refused on BLOW_UP_DOC's 32 x points (9.3e-4 of
+# its squared norm outside the 2/3 band) and on 52 (3.4e-8), and accepted on
+# 56 (5.4e-9; its band projection has tail mass 4.3e-10)
+CDEP_BLOW_UP_GEOMETRY = {**BLOW_UP_DOC["geometry"], "Nx": 56}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -1009,16 +1009,16 @@ class TestCdepSchedule:
         assert cdep_experiment(config, 1e-3) == in_turn_cdep(config, 1e-3)
 
     def test_perturbed_blow_up_matches_runs_in_turn(self):
-        # at eps = 50 the eps run blows up at t = 0.3, in its second
+        # at eps = 45 the eps run blows up at t = 0.3, in its second
         # interval, while the base steps its third one, clean
         doc = {**BLOW_UP_DOC, "geometry": CDEP_BLOW_UP_GEOMETRY,
                "solver": {"dt": 0.1, "t_end": 3.0, "output_every": 2},
                "initial": {"kind": "gaussian_mode", "amplitude": 0.2, "s": 2.0}}
         config = parse_config(json.dumps(doc))
         with pytest.raises(BlowUpError) as want:
-            in_turn_cdep(config, 50.0)
+            in_turn_cdep(config, 45.0)
         with pytest.raises(BlowUpError) as got:
-            cdep_experiment(config, 50.0)
+            cdep_experiment(config, 45.0)
         assert got.value.t == want.value.t == pytest.approx(0.3)
         assert got.value.last_l2 == want.value.last_l2
         assert got.value.series.samples == want.value.series.samples
@@ -1119,10 +1119,10 @@ class TestCdepCommand:
         assert capsys.readouterr().err == "error: eps must be finite and > 0\n"
 
     def test_blow_up_exits_3(self, tmp_path, capsys):
-        # dt * max|Im sigma| = 36 on 40 x points, under the guard's 50; the
-        # runs blow up at t = 0.5, their first step
+        # dt * max|Im sigma| = 46.6 on 56 x points, under the guard's 50;
+        # the runs blow up at t = 0.25, their first step
         doc = {**BLOW_UP_DOC, "geometry": CDEP_BLOW_UP_GEOMETRY,
-               "solver": {"dt": 0.5, "t_end": 30.0},
+               "solver": {"dt": 0.25, "t_end": 30.0},
                "initial": {"kind": "gaussian_mode", "amplitude": 100.0, "s": 2.0}}
         out = tmp_path / "cdep"
         code = main(["cdep", "--config", write_config(tmp_path, doc),
@@ -1134,15 +1134,17 @@ class TestCdepCommand:
         assert not (out / "cdep.json").exists()
 
     def test_bump_too_wide_exits_1(self, tmp_path, capsys):
-        # the field a run steps, without its Nyquist slot, is checked
+        # the unit bump is too narrow for 32 x points: the x slots that no
+        # run steps hold 9.3e-4 of its squared norm
         config = parse_config(json.dumps(BLOW_UP_DOC))
-        with pytest.raises(SupportTooWideError, match="tail mass 3.578e-07"):
+        with pytest.raises(ValueError, match="outside the 2/3 band n < 11"):
             cdep_experiment(config, 1e-3)
         out = tmp_path / "cdep"
         code = main(["cdep", "--config", write_config(tmp_path, BLOW_UP_DOC),
                      "--eps", "1e-3", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: support too wide")
+        assert capsys.readouterr().err.startswith(
+            "error: initial data outside the 2/3 band")
         assert not (out / "cdep.json").exists()
 
     def test_base_contaminated_at_start(self, tmp_path, capsys):

@@ -6,15 +6,19 @@ import pytest
 from zkbstrip import (
     Field,
     InitialData,
+    SolverConfig,
     StripGeometry,
     SupportTooWideError,
     evaluate_mode,
     make_initial_field,
+    run,
     tail_mass,
     weighted_inner,
 )
 
-from zkbstrip.fields import _band, parseval_sums, quartic_samples, random_blocks, to_grid
+from zkbstrip.fields import (
+    _band, band_shape, parseval_sums, quartic_samples, random_blocks, to_grid,
+    to_spectral)
 from zkbstrip.theory import gn_sides
 
 from conftest import (
@@ -145,10 +149,13 @@ class TestInitialData:
         assert norm == pytest.approx(0.25, rel=1e-12)
 
     def test_wide_support_rejected(self):
+        # s = 4: tail mass 1.5e-4.  Wider ones (s = 5 to 20) are refused
+        # first as outside the 2/3 band, for the kink of their periodic
+        # extension at x = +/-Lx
         g = StripGeometry(B=np.pi, Lx=10.0, Nx=128, Ny=8, b=0.1)
         with pytest.raises(SupportTooWideError, match="support too wide"):
             make_initial_field(
-                InitialData(kind="gaussian_mode", amplitude=1.0, s=20.0), g
+                InitialData(kind="gaussian_mode", amplitude=1.0, s=4.0), g
             )
 
     # cdep's perturbation: a unit-norm first-mode bump of width 1
@@ -156,21 +163,57 @@ class TestInitialData:
                             target_l2_norm=1.0)
 
     def test_tail_of_the_field_a_run_steps_is_checked(self):
-        # on 32 x points the samples' tail mass passes the bar, but the
-        # field without its Nyquist slot, which a run steps, does not
-        g = StripGeometry(B=np.pi, Lx=10.0, Nx=32, Ny=4, b=0.0)
-        with pytest.raises(SupportTooWideError, match="tail mass 3.578e-07"):
+        # on 56 x points with b = 0.3 the samples' tail mass is rounding,
+        # but their 2/3 band projection, which a run steps, rings into the
+        # tail bands
+        g = StripGeometry(B=np.pi, Lx=10.0, Nx=56, Ny=4, b=0.3)
+        with pytest.raises(SupportTooWideError, match="tail mass 5.276e-08"):
             make_initial_field(self.UNIT_BUMP, g)
 
     @pytest.mark.parametrize("kind", ["gaussian_mode", "custom_samples"])
     def test_reported_tail_is_the_returned_fields(self, kind):
-        g = StripGeometry(B=np.pi, Lx=10.0, Nx=40, Ny=4, b=0.0)
+        g = StripGeometry(B=np.pi, Lx=10.0, Nx=56, Ny=4, b=0.0)
         x, w1 = g.x_grid(), evaluate_mode(1, g.y_grid(), g.B)
         init = (self.UNIT_BUMP if kind == "gaussian_mode" else InitialData(
             kind=kind, values=np.exp(-(x**2))[:, None] * w1[None, :]))
         fld, _, tail = make_initial_field(init, g)
         assert 0.0 < tail < 1e-8
         assert tail == tail_mass(fld)
+
+    # samples that hold every y mode, against a 2/3 band of j <= 5 on
+    # 64 x 8 (B = pi, Lx = 10, b = 0.1)
+    WIDE_GEOMETRY = StripGeometry(B=np.pi, Lx=10.0, Nx=64, Ny=8, b=0.1)
+
+    @classmethod
+    def wide_samples(cls, seed=0):
+        rng = np.random.default_rng(seed)
+        return (np.exp(-(cls.WIDE_GEOMETRY.x_grid() ** 2))[:, None]
+                * rng.standard_normal((64, 8)))
+
+    def test_custom_samples_outside_the_band_rejected(self):
+        # a run would step their band projection, which holds 1.696 of the
+        # samples' squared norm 4.229 and has tail mass 0.0122
+        init = InitialData(kind="custom_samples", values=self.wide_samples())
+        with pytest.raises(ValueError, match="outside the 2/3 band n < 22, j <= 5"):
+            make_initial_field(init, self.WIDE_GEOMETRY)
+
+    def test_custom_samples_report_the_field_a_run_steps(self):
+        # samples in the band plus 1e-6 of the wide ones: the field
+        # returned, its norm and its tail mass are those of the band
+        # projection, the field whose norm a run records at t = 0
+        g = self.WIDE_GEOMETRY
+        x, band = g.x_grid(), _band(g)
+        vals = np.exp(-(x**2))[:, None] * sum(
+            evaluate_mode(j, g.y_grid(), g.B) for j in (1, 2, 5))[None, :]
+        vals += 1e-6 * self.wide_samples()
+        fld, norm, tail = make_initial_field(
+            InitialData(kind="custom_samples", values=vals), g)
+        projected = band.scatter(band.gather(to_spectral(vals, g)))
+        assert np.array_equal(fld.coeffs, projected)
+        assert norm == np.sqrt(fld.l2sq()) and tail == tail_mass(fld)
+        first = run(fld, SolverConfig(dt=1e-3, t_end=0.0)).samples[0]
+        assert first.l2 == pytest.approx(norm**2, rel=1e-14)
+        assert first.tail == pytest.approx(tail, rel=1e-12)
 
     def test_single_mode_exempt_from_tail_guard(self):
         # periodic test data is legitimate even though it has no decay
@@ -194,22 +237,32 @@ class TestInitialData:
             )
 
     def test_custom_samples(self, small_geom):
+        # band-limited, localized samples: random multiples of the first
+        # nj = 10 y modes, each on a Gaussian in x
         rng = np.random.default_rng(2)
-        vals = rng.standard_normal((small_geom.Nx, small_geom.Ny)) * 1e-3
-        # localize so the weighted tail stays tiny
-        x = small_geom.x_grid()
-        vals *= np.exp(-(x**2))[:, None]
+        x, y = small_geom.x_grid(), small_geom.y_grid()
+        vals = sum(1e-3 * rng.standard_normal() * np.exp(-(x**2))[:, None]
+                   * evaluate_mode(j, y, small_geom.B)[None, :] for j in range(1, 11))
         fld, norm, _ = make_initial_field(
             InitialData(kind="custom_samples", values=vals), small_geom
         )
         assert np.max(np.abs(to_grid(fld.coeffs, small_geom) - vals)) < 1e-12
 
+    def test_custom_samples_in_all_y_modes_rejected(self, small_geom):
+        # the former data of test_custom_samples: noise in all 16 y modes
+        rng = np.random.default_rng(2)
+        vals = rng.standard_normal((small_geom.Nx, small_geom.Ny)) * 1e-3
+        vals *= np.exp(-(small_geom.x_grid() ** 2))[:, None]
+        with pytest.raises(ValueError, match="outside the 2/3 band"):
+            make_initial_field(
+                InitialData(kind="custom_samples", values=vals), small_geom)
+
     @pytest.mark.parametrize("kind", ["gaussian_mode", "single_mode"])
     @pytest.mark.parametrize("j", [1, 2, 5])
     def test_sampled_mode_holds_only_its_column(self, kind, j):
         # DST-I orthogonality: the other columns are exact zeros, and the
-        # mode's own column is the plain transform of the samples, but for
-        # the Nyquist slot, which no run steps
+        # mode's own column is the plain transform of the samples on the
+        # x slots of the 2/3 band, and zero on the rest, which no run steps
         g = StripGeometry(B=np.pi, Lx=2 * np.pi, Nx=64, Ny=12)
         x, wj = g.x_grid(), evaluate_mode(j, g.y_grid(), g.B)
         profile = np.exp(-(x**2)) if kind == "gaussian_mode" else np.sin(x)
@@ -217,8 +270,9 @@ class TestInitialData:
             InitialData(kind=kind, amplitude=1.0, s=1.0, k=1.0, j=j), g)
         plain = Field.from_values(g, profile[:, None] * wj[None, :]).coeffs
         others = np.arange(g.Ny) != j - 1
-        assert not fld.coeffs[:, others].any() and not fld.coeffs[-1].any()
-        assert np.array_equal(fld.coeffs[:-1, j - 1], plain[:-1, j - 1])
+        nb = band_shape(g)[0]
+        assert not fld.coeffs[:, others].any() and not fld.coeffs[nb:].any()
+        assert np.array_equal(fld.coeffs[:nb, j - 1], plain[:nb, j - 1])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

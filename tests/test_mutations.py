@@ -1,17 +1,26 @@
 """Kill matrix: each row puts one fault into the program by a monkeypatch
 and names the check that must catch it.  A row asserts that its check
 passes on the program as it is and fails on the mutated one, so a check
-that could not fail shows here.  The stepper's tables are frozen and
-cached, so each row clears ``solver._stepper``'s cache before and after.
+that could not fail shows here.  The stepper's tables and the band's are
+frozen and cached, so each row clears ``solver._stepper``'s cache and
+``fields._band``'s before and after.  A check that is a test of the suite
+is that test's own code, called here; it fails when it raises
+``AssertionError``.
 """
 
+import numpy as np
 import pytest
 
-from zkbstrip import solver
+from zkbstrip import fields, solver
 
+import test_diagnostics
+import test_solver
 from conftest import LINEAR_ORACLE_BAR, linear_oracle_deviation
 
 _symbol = solver.linear_symbol
+_sums = solver.parseval_sums
+_square = fields._Band.square
+_band_init = fields._Band.__init__
 
 
 def _lambda_low(k, lam, convection=0):
@@ -22,8 +31,39 @@ def _dissipation_doubled(k, lam, convection=0):
     return _symbol(k, lam, convection) - k * k
 
 
+def _member_0_norms(coeffs, *weights):
+    """The stacked ledger's Parseval sums, member 0's for every member."""
+    return tuple(np.full_like(s, s[0]) for s in _sums(coeffs, *weights))
+
+
+def _member_0_squared(self, a):
+    """The stacked product, member 0's square in every member."""
+    out = _square(self, a)
+    stack = out.reshape(-1, *out.shape[-2:])
+    stack[1:] = stack[0]
+    return out
+
+
+def _weight_rate_high(self, geom):
+    """The band's x weights with e^{2.02bx} for e^{2bx}."""
+    _band_init(self, geom)
+    self.w_x = self.w_x * np.exp(0.02 * geom.b * geom.x_grid())
+
+
 def linear_oracle_holds():
     return linear_oracle_deviation() < LINEAR_ORACLE_BAR
+
+
+def passes(test):
+    """A test of the suite as a check: True when it passes."""
+    def check():
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                test(mp)
+        except AssertionError:
+            return False
+        return True
+    return check
 
 
 # (name, (owner, attribute, mutant), check)
@@ -32,20 +72,36 @@ ROWS = [
      linear_oracle_holds),
     ("dissipation-doubled-in-linear_symbol",
      (solver, "linear_symbol", _dissipation_doubled), linear_oracle_holds),
+    ("stacked-ledger-takes-member-0-norms",
+     (solver, "parseval_sums", _member_0_norms),
+     passes(lambda mp: test_solver.TestAdvance()
+            .test_members_leave_at_their_own_samples(mp))),
+    ("stacked-product-squares-member-0",
+     (fields._Band, "square", _member_0_squared),
+     passes(lambda mp: test_solver.TestStackedStep()
+            .test_matches_single_steps(8.0, 64, 12, 3))),
+    ("weight-rate-2.02b-in-_Band.w_x", (fields._Band, "__init__", _weight_rate_high),
+     passes(lambda mp: test_diagnostics.TestWeightedInner()
+            .test_gaussian_closed_form())),
 ]
 
 
+def clear_caches():
+    solver._stepper.cache_clear()
+    fields._band.cache_clear()
+
+
 @pytest.fixture
-def fresh_steppers():
-    solver._stepper.cache_clear()
+def fresh_caches():
+    clear_caches()
     yield
-    solver._stepper.cache_clear()
+    clear_caches()
 
 
 @pytest.mark.parametrize("patch,check", [row[1:] for row in ROWS],
                          ids=[row[0] for row in ROWS])
-def test_check_kills_mutation(monkeypatch, fresh_steppers, patch, check):
+def test_check_kills_mutation(monkeypatch, fresh_caches, patch, check):
     assert check()
-    solver._stepper.cache_clear()
+    clear_caches()
     monkeypatch.setattr(*patch)
     assert not check()

@@ -423,7 +423,7 @@ class TestInPlaceStep:
             assert tables.keys() == {"E", "E2", "M", "f1", "f2", "f3",
                                      "w_l2", "w_dx"}
             tiled = st._rows[2, len(c)][:6]
-            assert all(t.shape == (2 * len(c), st.band.nb) for t in tiled)
+            assert all(t.shape == (2, len(c), st.band.nb) for t in tiled)
             tables.update((f"tiled {k}", t) for k, t in enumerate(tiled))
             for name, t in tables.items():
                 assert not t.flags.writeable, name
@@ -715,20 +715,23 @@ class TestAdvance:
         self.assert_same([got[0][0], got[3][1], got[4][0], got[5][0]], apart[0])
         self.assert_same([got[0][1], got[1][0], got[2][0], got[3][0]], apart[1])
 
-    def test_row_counts_step_as_stacks_of_their_own(self, monkeypatch):
-        # an odd-block run (j = 1) and a full-band run (j = 2) in one call
-        u0s = [make_initial_field(
+    @pytest.mark.parametrize("other", ["row count", "stepper"])
+    def test_one_stack_per_call(self, monkeypatch, other):
+        # an odd-block run (j = 1) with a full-band run (j = 2), or with a
+        # run at another dt, is refused before either is recorded or stepped
+        j1, j2 = (make_initial_field(
             InitialData(kind="gaussian_mode", amplitude=0.2, j=j), self.G).field
-            for j in (1, 2)]
+            for j in (1, 2))
         cfg = SolverConfig(dt=1e-3, t_end=0.02, output_every=10)
-        apart = [list(evolve(u0, cfg)) for u0 in u0s]
-        runs = [Trajectory(u0, cfg) for u0 in u0s]
-        st = runs[0].stepper
-        rows = step_rows(monkeypatch, st)
-        got = [advance(runs) for _ in range(3)]
-        assert rows == [(1, st.band.n_odd), (1, st.band.nj)] * 20
-        for k, want in enumerate(apart):
-            self.assert_same([g[k] for g in got], want)
+        first = Trajectory(j1, cfg)
+        advance([first])
+        second = (Trajectory(j2, cfg) if other == "row count"
+                  else Trajectory(j1, SolverConfig(dt=2e-3, t_end=0.02)))
+        rows = step_rows(monkeypatch, first.stepper)
+        with pytest.raises(ValueError, match="one stepper and one row count"):
+            advance([first, second])
+        assert rows == [] and first.step == 0 and len(first.samples) == 1
+        assert second.step == 0 and second.samples == []
 
     def test_blow_up_raised_for_the_earliest_t(self):
         # two members blow up at one stacked step: whatever their order,
