@@ -7,21 +7,17 @@ A :class:`Field` stores the complex coefficient tensor c[n, j] of
 with k_n = n*pi/Lx kept in rfft layout (n = 0..Nx/2, negative frequencies
 implied by conjugate symmetry) and w_j the orthonormal Dirichlet sine
 modes.  Real-valuedness and the Dirichlet trace are enforced by the
-representation itself.  The one transform between coefficients and grid
-samples (:class:`_Band`: an x FFT and a dense type-I sine matrix in y)
-serves the stepper's dealiased square and every reader of a Field (an x
-transform to the amplitudes a_j(x) of its y modes, then one sine product
-for grid values) or of a stack (S, n, J) of fields cut to their live n x
-slots and J y modes (:func:`random_blocks`), one transform per stack, and
-holds every other read-only table of its geometry.  The x FFTs are
-numpy's, which write into given arrays.  The band keeps its odd y modes
-first: the odd sine modes are even about y = B/2, so data with no even
-mode (an exactly zero even block) is squared from its odd block on the top
-half of the grid alone.  The dealiased square copies its band into a
-zero-tailed padded buffer before the x irfft (numpy's own zero-padding
-inside the transform is slower) and returns one of its scratch arrays; its
-band is shared through a cache, so that is safe from one call to the next,
-but not across threads.
+representation itself.  One band per geometry (:class:`_Band`: an x
+FFT and a dense type-I sine matrix in y) holds every read-only table of
+that geometry.  Coefficients reach the grid by two paths that read its
+tables: the stepper's dealiased square (``solver.Stepper.nonlinear_rhs``)
+and, for every reader of a Field or of a stack (S, n, J) of fields cut to
+their live n x slots and J y modes (:func:`random_blocks`), an x
+transform to the amplitudes a_j(x) of the y modes, then one sine product
+for grid values, one transform per stack.  The x FFTs are numpy's.  The
+band keeps its odd y modes first: the odd sine modes are even about
+y = B/2, so data with no even mode (an exactly zero even block) is
+squared from its odd block on the top half of the grid alone.
 """
 
 from __future__ import annotations
@@ -60,33 +56,29 @@ class _Band:
     Only the first nj y modes and nb x slots are ever non-zero in a run,
     so the stepper keeps just those, the odd modes j = 1, 3, ... in the
     first n_odd rows and the even ones after them (``order`` maps a row
-    to its column j - 1 of the full layout).  The grid is reached by an
-    x irfft of the rows, copied into the leading slots of a zero-tailed
-    padded buffer, followed by one (Ny, nj) sine product in y; the way
-    back is one (nj, Ny) sine product and an x rfft of the rows.  Rows
+    to its column j - 1 of the full layout).  The band holds read-only
+    tables alone, nothing that a product writes.  The stepper's product
+    (``solver.Stepper.nonlinear_rhs``) reaches the grid by an x irfft of
+    the rows and one (Ny, nj) sine product in y, ``synthesis``, and comes
+    back by one (nj, Ny) sine product, ``analysis``, and an x rfft.  Rows
     of the odd block alone stand for an all-zero even block: such data
     is even about y = B/2, and so is its square, so the products take
     only the odd modes on the top (Ny + 1)//2 grid rows, each row but an
     unpaired middle one (Ny odd) weighted twice for its mirror in
     ``analysis_odd``: a quarter of the flops of the full products.  Nx
     and the normalisation of the orthonormal modes make up one scale
-    factor each way; the stepper's synthesis and analysis matrices
-    carry them.  The x derivative of the nonlinear term sits in one
-    per-slot factor, ``slot``, which the stepper folds into its ETDRK4
-    weights, so :meth:`square` returns the band spectrum of u**2
-    itself.  It writes its x samples, grid values and spectrum into
-    scratch arrays made on its first call of each stack shape, so a band
-    that only serves the transforms below never holds them; the rfft
-    output is also the padded irfft input.  One band per geometry also serves
-    :func:`to_spectral` and, outside the stepper, the one way from
-    coefficients to grid values: :meth:`x_modes`, the amplitudes every
-    diagnostic reads, then :meth:`grid` (:func:`to_grid` composes the
-    two).  These take every y mode of the full sine matrix and scale
-    after the sine product, as a plain type-I DST does: a scale folded
-    into the matrix rounds the sampled initial data differently, and
-    long contaminated runs amplify that last bit to 1e-13 in the tail
-    mass.  Every table derived from the geometry is built here, once,
-    and frozen.
+    factor each way, carried by those matrices.  The x derivative of the
+    nonlinear term sits in one per-slot factor, ``slot``, which the
+    stepper folds into its ETDRK4 weights, so its product returns the
+    band spectrum of u**2 itself.  The band also serves
+    :func:`to_spectral` and the other way from coefficients to grid
+    values: :meth:`x_modes`, the amplitudes every diagnostic reads, then
+    :meth:`grid` (:func:`to_grid` composes the two).  These take every y
+    mode of the full sine matrix and scale after the sine product, as a
+    plain type-I DST does: a scale folded into the matrix rounds the
+    sampled initial data differently, and long contaminated runs amplify
+    that last bit to 1e-13 in the tail mass.  Every table derived from
+    the geometry is built here, once, and frozen.
     """
 
     def __init__(self, geom: StripGeometry):
@@ -135,7 +127,6 @@ class _Band:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
-        self._scratch = {}  # per stack shape, made on first use
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Full-layout (Nx//2+1, Ny) coefficients -> contiguous band
@@ -164,36 +155,6 @@ class _Band:
         """(Nx, J) amplitudes of the leading J y modes (:meth:`x_modes`),
         per member -> (Nx, Ny) grid values, by one sine product in y."""
         return (a @ self.sines[:, : a.shape[-1]].T) * self.mode_scale
-
-    def square(self, a: np.ndarray) -> np.ndarray:
-        """(u**2)^ on the band, from the band coefficients of u, a
-        C-contiguous stack (S, n, nb) (one x irfft of all rows, one sine
-        product each way broadcast over the stack, one rfft; an (n, nb)
-        state squares as a stack of one), in scratch that the next product
-        overwrites.  n = n_odd odd rows stand for data with an all-zero
-        even block, whose square has one too: the product then takes the
-        half grid and returns the odd rows."""
-        g = self.geom
-        c = a.reshape(-1, *a.shape[-2:])
-        S, n, _ = c.shape
-        synthesis, analysis = ((self.synthesis, self.analysis) if n == self.nj
-                               else (self.synthesis_odd, self.analysis_odd))
-        if c.shape not in self._scratch:  # x samples each way, u then u^2
-            self._scratch[c.shape] = (
-                np.empty((S, n, g.Nx)), np.empty((S, len(synthesis), g.Nx)),
-                np.empty((S, n, g.Nx // 2 + 1), dtype=complex), np.empty_like(c))
-        xs, u, spec, out = self._scratch[c.shape]
-        spec[..., : self.nb] = c  # the padded irfft input, then the rfft output
-        spec[..., self.nb :] = 0.0
-        irfft(spec, n=g.Nx, axis=-1, out=xs)
-        np.matmul(synthesis, xs, out=u)
-        np.multiply(u, u, out=u)
-        np.matmul(analysis, u, out=xs)
-        rfft(xs, axis=-1, out=spec)
-        # contiguous for the stepper: numpy's ufuncs copy a strided
-        # operand into a buffer of its full size
-        np.copyto(out, spec[..., : self.nb])
-        return out.reshape(a.shape)
 
 
 @lru_cache(maxsize=32)
@@ -257,11 +218,11 @@ def _summed_power(flat: np.ndarray, axis: int) -> np.ndarray:
     return parts[..., 0::2] + parts[..., 1::2]
 
 
-def _check_coeffs(coeffs: np.ndarray, *real_rows: np.ndarray) -> None:
+def _check_coeffs(coeffs: np.ndarray, *real: np.ndarray) -> None:
     """A Field's checks: all coefficients finite, the given rows real."""
     if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise ValueError("field coefficients contain non-finite entries")
-    if any(row.imag.any() for row in real_rows):
+    if any(row.imag.any() for row in real):
         raise ValueError("the mean (n = 0) and Nyquist rows of a real "
                          "field must be real")
 

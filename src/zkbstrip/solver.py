@@ -25,10 +25,12 @@ The equation and the Dirichlet conditions are unchanged by y -> B - y,
 so data even about y = B/2 (no even sine mode) stays so for all time:
 when the even block of the initial state is exactly zero, with no
 tolerance, the run steps the odd block alone, whose square takes half the y grid.
-The factor -0.5*i*k of the derivative is folded into the ETDRK4 weights
-once, so each stage takes the band spectrum of u^2 as it comes from the
-transforms, and a step forms its stages in four buffers of the stepper
-and allocates only its result.
+The stepper forms the dealiased product itself, from the band's
+read-only tables.  The factor -0.5*i*k of the derivative is folded into
+the ETDRK4 weights once, so each stage takes the band spectrum of u^2 as
+it comes from the transforms.  A step writes its stages and the
+product's transforms into the stepper's one workspace, made for the
+shape of the stack last stepped, and allocates only its result.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .diagnostics import NormSample, TimeSeries, sample_field
 from .fields import Field, _band, band_shape, parseval_sums
@@ -139,17 +142,19 @@ def _phi123(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class Stepper:
     """Precomputed coefficients and transforms for one geometry, time
-    step, convection flag and nonlinear switch: all that a step reads.
+    step, convection flag and nonlinear switch: all that a step reads,
+    and the one workspace that a step writes.
 
     It steps a stack (S, n, nb) of S band arrays of :class:`fields._Band`,
-    n the band's nj rows or the n_odd of its odd block alone; an (n, nb)
-    array steps as a stack of one.  Every coefficient table below has
-    the (nj, nb) shape of the band, or (1, nb) for the norm weights; a
-    step runs its stage sums on the stack, against the leading n rows of
-    each table tiled to (S, n, nb).  The weights M, f1, f2,
-    f3 carry the derivative factor ``band.slot``.  The tables are frozen
-    (the stepper is shared through a cache); its stage buffers make a
-    step safe from one call to the next, not across threads.
+    n the band's nj rows or the n_odd of its odd block alone.  Every
+    coefficient table below has the (nj, nb) shape of the band, or
+    (1, nb) for the norm weights; a step runs its stage sums on the
+    stack, against the leading n rows of each table tiled to (S, n, nb).
+    The weights M, f1, f2, f3 carry the derivative factor ``band.slot``.
+    The tables are frozen (the stepper is shared through a cache).  The
+    workspace holds the buffers of the shape of the stack last stepped,
+    rebuilt when that changes; a step is safe from one call to the next,
+    not across threads.
     """
 
     def __init__(self, geom: StripGeometry, dt: float, convection: int = 0,
@@ -174,35 +179,60 @@ class Stepper:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)  # shared through the cache
-        self._rows = {}  # per (S, n): the tables, then four stage buffers
+        self._work = None  # (S, n) of the stack last stepped, and its buffers
 
-    def _stack(self, S: int, n: int) -> tuple[np.ndarray, ...]:
-        """Each table's leading n rows, tiled to (S, n, nb) (broadcast
-        tables lose numpy's contiguous fast path), and stage buffers."""
-        tables = [t[None, :n] if S == 1 else np.tile(t[:n], (S, 1, 1)) for t in (
-            self.E, self.E2, self.M, self.f1, self.f2, self.f3)]
-        for table in tables:
-            table.setflags(write=False)
-        self._rows[S, n] = (*tables, *(np.empty_like(tables[0]) for _ in range(4)))
-        return self._rows[S, n]
+    def _workspace(self, S: int, n: int) -> tuple[np.ndarray, ...]:
+        """The buffers of an (S, n, nb) stack: each table's leading n rows,
+        tiled to (S, n, nb) (broadcast tables lose numpy's contiguous fast
+        path), four stage buffers, and the product's x samples, grid
+        values, padded spectrum and result."""
+        if self._work is None or self._work[0] != (S, n):
+            g = self.band.geom
+            tables = [t[None, :n] if S == 1 else np.tile(t[:n], (S, 1, 1)) for t in (
+                self.E, self.E2, self.M, self.f1, self.f2, self.f3)]
+            for table in tables:
+                table.setflags(write=False)
+            ny = g.Ny if n == self.band.nj else (g.Ny + 1) // 2  # grid rows
+            self._work = (S, n), (
+                *tables, *(np.empty_like(tables[0]) for _ in range(4)),
+                np.empty((S, n, g.Nx)), np.empty((S, ny, g.Nx)),
+                np.empty((S, n, g.Nx // 2 + 1), dtype=complex),
+                np.empty_like(tables[0]))
+        return self._work[1]
 
     def nonlinear_rhs(self, c: np.ndarray) -> np.ndarray:
-        """(u^2)^ on the band of a stack c, in the band's scratch; the
-        weights turn it into -(u u_x)^hat."""
-        return self.band.square(c)
+        """(u**2)^ on the band, from the band coefficients of u, a
+        C-contiguous stack (S, n, nb): one x irfft of all rows, one sine
+        product each way broadcast over the stack, one rfft.  The weights
+        turn it into -(u u_x)^hat.  n = n_odd odd rows stand for data
+        with an all-zero even block, whose square has one too: the
+        product then takes the half grid and returns the odd rows.  The
+        result is the workspace's, which the next product overwrites."""
+        band, Nx = self.band, self.band.geom.Nx
+        synthesis, analysis = ((band.synthesis, band.analysis) if c.shape[1] == band.nj
+                               else (band.synthesis_odd, band.analysis_odd))
+        *_, xs, u, spec, out = self._workspace(*c.shape[:2])
+        spec[..., : band.nb] = c  # the padded irfft input, then the rfft output
+        spec[..., band.nb :] = 0.0
+        irfft(spec, n=Nx, axis=-1, out=xs)
+        np.matmul(synthesis, xs, out=u)
+        np.multiply(u, u, out=u)
+        np.matmul(analysis, u, out=xs)
+        rfft(xs, axis=-1, out=spec)
+        # contiguous for the stage sums: numpy's ufuncs copy a strided
+        # operand into a buffer of its full size
+        np.copyto(out, spec[..., : band.nb])
+        return out
 
     def step_erk4(self, c: np.ndarray) -> np.ndarray:
-        shape = c.shape
-        c = c.reshape(-1, *shape[-2:])  # an (n, nb) state: a stack of one
-        E, E2, M, f1, f2, f3, e2c, n0, a, tmp = (self._rows.get(c.shape[:2])
-                                                 or self._stack(*c.shape[:2]))
+        E, E2, M, f1, f2, f3, e2c, n0, a, tmp, *_ = self._workspace(*c.shape[:2])
         if not self.nonlinear:
-            return (E * c).reshape(shape)
+            return E * c
         # Each stage sum of
         #   a = E2*c + M*n0,  b = E2*c + M*na,  cc = E2*a + M*(nb*2 - n0),
         #   E*c + f1*n0 + f2*na + f2*nb + f3*nc
-        # is formed in place, left to right.  A product n is the band's
-        # scratch, used up before the next one; only n0 is kept.
+        # is formed in place, left to right.  A product n is the
+        # workspace's result, used up before the next one; only n0 is kept.
         out = np.multiply(E, c)
         np.multiply(E2, c, out=e2c)
         n = self.nonlinear_rhs(c)
@@ -222,11 +252,11 @@ class Stepper:
         cc += np.multiply(M, n, out=n)
         n = self.nonlinear_rhs(cc)
         out += np.multiply(f3, n, out=n)
-        return out.reshape(shape)
+        return out
 
 
 # Keyed on what a step reads, so runs that differ in t_end or the
-# sampling share one stepper: its tables and its stage buffers
+# sampling share one stepper: its tables and its workspace
 _stepper = lru_cache(maxsize=8)(Stepper)
 
 

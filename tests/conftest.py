@@ -10,6 +10,7 @@ from scipy.fft import dst, irfft, rfft
 from zkbstrip import Field, StripGeometry, evolve, make_initial_field, run
 from zkbstrip.diagnostics import _moments, _modes
 from zkbstrip.fields import _band, random_blocks
+from zkbstrip.solver import Stepper
 from zkbstrip.theory import _holds
 
 
@@ -116,10 +117,11 @@ def coupling_coefficient(i: int, j: int, k: int, B: float) -> float:
 
 
 def nonlinear_term(u):
-    """u*u_x of the 2/3 band projection of u, by the package's band product."""
+    """u*u_x of the 2/3 band projection of u, by the stepper's band
+    product of the stack of one."""
     band = _band(u.geometry)
-    square = band.square(band.gather(u.coeffs))
-    return Field(u.geometry, band.scatter(-band.slot * square))
+    square = Stepper(u.geometry, 1e-3).nonlinear_rhs(band.gather(u.coeffs)[None])
+    return Field(u.geometry, band.scatter(-band.slot * square[0]))
 
 
 def final_field(u0, cfg):

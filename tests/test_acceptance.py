@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, tolerances pinned.
 
-Criteria 2, 4 and 5 share the session-scoped reference run (17 to 25 s
-of compute on a 2-vCPU x86-64 VM with one BLAS thread, whose speed
-varies from run to run); criterion 10 runs its own three
+Criteria 2, 4 and 5 and ``verify --suite energy``'s test share the
+session-scoped reference run (17 to 25 s of compute on a 2-vCPU x86-64
+VM with one BLAS thread, whose speed varies from run to run), which no
+test outside this file takes; criterion 10 runs its own three
 continuous-dependence runs up to the reference run's clean end, and the
 remainder are fast.  Run with ``pytest -v -s
 tests/test_acceptance.py`` to see one verdict line per criterion.
@@ -27,6 +28,7 @@ from zkbstrip import (
     make_initial_field,
     run,
 )
+from zkbstrip.cli import verify_suite
 from zkbstrip.diagnostics import CONTAMINATION_THRESHOLD
 from zkbstrip.fields import to_grid
 from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
@@ -221,3 +223,15 @@ def test_criterion_10_continuous_dependence():
                f"{result['final_factor_eps']:.4e} vs "
                f"{result['final_factor_half_eps']:.4e}, ratio "
                f"{result['final_ratio']:.4f}; both within 10%")
+
+
+class TestVerifyCommand:
+    def test_energy_suite(self, paper_ref):
+        # sample 0 is the reference run of the paper_ref fixture, made once
+        _, series = paper_ref
+        report = verify_suite("energy", 3, 0)
+        residuals = report["residuals"]
+        assert len(residuals) == 3
+        assert residuals[0] == energy_residual(series)
+        assert report["worst_residual"] == max(residuals)
+        assert report["all_hold"] is True

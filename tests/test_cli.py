@@ -12,10 +12,11 @@ import pytest
 from zkbstrip import (
     Field,
     InitialData,
+    StripGeometry,
     TimeSeries,
-    energy_residual,
     evolve,
     make_initial_field,
+    run,
     weighted_inner,
 )
 from zkbstrip import cli, theory
@@ -32,6 +33,7 @@ from zkbstrip.cli import (
     read_series_csv,
     verify_suite,
 )
+from zkbstrip.fields import _band, random_blocks
 from zkbstrip.solver import BlowUpError, Trajectory, _stepper
 from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
@@ -596,16 +598,6 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "sup", "--samples", "10",
                      "--seed", "5"]) == 0
 
-    def test_energy_suite(self, paper_ref):
-        # sample 0 is the reference run of the paper_ref fixture, made once
-        _, series = paper_ref
-        report = verify_suite("energy", 3, 0)
-        residuals = report["residuals"]
-        assert len(residuals) == 3
-        assert residuals[0] == energy_residual(series)
-        assert report["worst_residual"] == max(residuals)
-        assert report["all_hold"] is True
-
     def test_small_energy_samples(self):
         # index >= 1 samples are short seeded runs
         from zkbstrip.cli import _energy_sample
@@ -1024,6 +1016,39 @@ class TestCdepSchedule:
         assert got.value.series.samples == want.value.series.samples
         base_l2 = make_initial_field(config.initial, config.geometry).l2_norm ** 2
         assert got.value.series.samples[0].l2 > 100 * base_l2
+
+
+class TestCachedState:
+    """What runs leave in the cached band and stepper of their geometry:
+    the band holds read-only tables alone, and the stepper one workspace,
+    that of the last stack it stepped."""
+
+    def test_band_holds_read_only_tables(self):
+        # a run, a cdep call, and one stack of each corpus verifier
+        config = TestCdepSchedule.quarter_ref()
+        g = config.geometry
+        run(make_initial_field(config.initial, g).field, config.solver)
+        cdep_experiment(config, 1e-3)
+        stack = random_blocks(g, range(8))
+        steklov_sides(g, stack)
+        gn_sides(g, stack)
+        sup_sides(g, stack, ((0.1, 1.0), (1.0, 1.0)))
+        for name, value in vars(_band(g)).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+            else:
+                assert isinstance(value, (int, float, StripGeometry)), name
+
+    def test_stepper_holds_one_workspace(self, monkeypatch):
+        # cdep's base steps (1, n) stacks, then the three runs (3, n) ones
+        config = TestCdepSchedule.quarter_ref()
+        st = TestCdepSchedule.stepper(config)
+        rows = step_rows(monkeypatch, st)
+        cdep_experiment(config, 1e-3)
+        shape, buffers = st._work
+        assert shape == rows[-1] == (3, st.band.n_odd)
+        assert all(len(b) == 3 for b in buffers)
+        assert not any(isinstance(v, (dict, list)) for v in vars(st).values())
 
 
 class TestCdepCommand:

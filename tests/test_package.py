@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -75,3 +76,21 @@ def test_readme_module_references_resolve():
             stale.append(ref)
     assert checked >= 10  # the pattern still finds README's references
     assert stale == []
+
+
+def test_unit_suite_takes_no_reference_run():
+    """No test file but test_acceptance.py takes the session ``paper_ref``
+    fixture or calls ``paper_ref_run``: the unit suite,
+    ``pytest --ignore=tests/test_acceptance.py``, makes no reference run."""
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        if path.name == "test_acceptance.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and "paper_ref" in (
+                    a.arg for a in node.args.args):
+                found.append(f"{path.name}:{node.lineno} {node.name}(paper_ref)")
+            elif isinstance(node, ast.Call) and "paper_ref_run" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno} paper_ref_run()")
+    assert found == []

@@ -17,7 +17,7 @@ from zkbstrip import (
     run,
     weighted_inner,
 )
-from zkbstrip.fields import _Band, _band, to_grid
+from zkbstrip.fields import _band, to_grid
 from zkbstrip.solver import (
     DISPERSION_SANITY_LIMIT,
     Stepper,
@@ -239,11 +239,11 @@ def symmetric_coeffs(g: StripGeometry, seed: int) -> np.ndarray:
 
 
 def stepper_cases(g: StripGeometry, seed: int, scale: float = 1.0):
-    """(stepper, band state) for random band data and for its odd block
-    alone, the state of data with an all-zero even block."""
+    """(stepper, stack of one band state) for random band data and for its
+    odd block alone, the state of data with an all-zero even block."""
     st = Stepper(g, 1e-3)
-    c = st.band.gather(scale * random_coeffs(g, seed))
-    return [(st, c), (st, c[: st.band.n_odd].copy())]
+    c = st.band.gather(scale * random_coeffs(g, seed))[None]
+    return [(st, c), (st, c[:, : st.band.n_odd].copy())]
 
 
 def reference_etdrk4_step(c: np.ndarray, g: StripGeometry, dt: float) -> np.ndarray:
@@ -298,8 +298,8 @@ class TestBandEquivalence:
         g = self.geometry(Nx, Ny)
         c = symmetric_coeffs(g, seed=Nx + Ny)
         band = _band(g)
-        square = band.square(band.gather(c)[: band.n_odd])
-        got, want = band.scatter(-band.slot * square), -reference_rhs(c, g)
+        square = Stepper(g, 1e-3).nonlinear_rhs(band.gather(c)[None, : band.n_odd])
+        got, want = band.scatter(-band.slot * square[0]), -reference_rhs(c, g)
         # at 4x3 the one kept product slot is 1e-4 of its O(|c|**2) terms
         scale = max(np.max(np.abs(want)), np.max(np.abs(c)) ** 2)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -314,12 +314,13 @@ class TestBandEquivalence:
 
 
 def allocating_etdrk4_step(st: Stepper, c: np.ndarray) -> np.ndarray:
-    """One ETDRK4 step as the plain allocating expression on the band, in
-    the stepper's operand order, with the derivative in its weights."""
+    """One ETDRK4 step of a stack c as the plain allocating expression on
+    the band, in the stepper's operand order, with the derivative in its
+    weights."""
     def square(v):
-        return st.band.square(v).copy()
+        return st.nonlinear_rhs(v).copy()
 
-    E, E2, M, f1, f2, f3 = (t[: len(c)] for t in (
+    E, E2, M, f1, f2, f3 = (t[: c.shape[1]] for t in (
         st.E, st.E2, st.M, st.f1, st.f2, st.f3))
     e2c = E2 * c
     n0 = square(c)
@@ -333,8 +334,8 @@ def allocating_etdrk4_step(st: Stepper, c: np.ndarray) -> np.ndarray:
 
 
 class TestInPlaceStep:
-    """The stepper forms its stage sums in stage buffers and the band
-    square reuses scratch arrays; neither may change a bit of the result."""
+    """The stepper forms its stage sums and its product in the buffers of
+    its workspace; that may not change a bit of the result."""
 
     @pytest.mark.parametrize("Lx,Nx,Ny", [
         (30.0, 1024, 32),
@@ -362,19 +363,21 @@ class TestInPlaceStep:
             assert not np.shares_memory(c, later)
 
     def test_square_after_another_matches_fresh_band(self):
-        # the padded tail of the scratch is zero again on every call
+        # the padded tail of the workspace's spectrum is zero again on
+        # every call; a fresh stepper has a fresh workspace
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
-        band = _Band(g)
-        band.square(band.gather(random_coeffs(g, seed=1)))
-        second = band.gather(random_coeffs(g, seed=2))
-        assert np.array_equal(band.square(second), _Band(g).square(second))
+        st, band = Stepper(g, 1e-3), _band(g)
+        st.nonlinear_rhs(band.gather(random_coeffs(g, seed=1))[None])
+        second = band.gather(random_coeffs(g, seed=2))[None]
+        assert np.array_equal(st.nonlinear_rhs(second),
+                              Stepper(g, 1e-3).nonlinear_rhs(second))
 
     def test_step_allocates_only_its_result(self):
         # one state, and a stack of three on its tiled tables
         g = StripGeometry(B=np.pi, Lx=30.0, Nx=1024, Ny=32)
         for st, c in stepper_cases(g, seed=3, scale=0.1):
-            for c in (c, np.stack([c, 0.5 * c, 2.0 * c])):
-                c = st.step_erk4(st.step_erk4(c))  # scratch, tables, FFT plans
+            for c in (c, np.concatenate([c, 0.5 * c, 2.0 * c])):
+                c = st.step_erk4(st.step_erk4(c))  # workspace, FFT plans
                 tracemalloc.start()
                 try:
                     out = st.step_erk4(c)
@@ -400,7 +403,7 @@ class TestInPlaceStep:
         # every table of the band is shared by all users of its geometry
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         band = _band(g)
-        band.square(band.gather(random_coeffs(g, seed=1)))
+        Stepper(g, 1e-3).nonlinear_rhs(band.gather(random_coeffs(g, seed=1))[None])
         tables = {name: t for name, t in vars(band).items()
                   if isinstance(t, np.ndarray)}
         assert {"sines", "synthesis", "analysis", "synthesis_odd",
@@ -412,18 +415,20 @@ class TestInPlaceStep:
                 t.flat[0] = 1.0
 
     def test_stepper_tables_are_read_only(self):
-        # _stepper shares one stepper between runs, with the tables it
-        # tiles for a stack
+        # _stepper shares one stepper between runs, with the tables its
+        # workspace tiles for a stack
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         for st, c in stepper_cases(g, seed=1):
             st.step_erk4(c)
-            st.step_erk4(np.stack([c, c]))
+            st.step_erk4(np.concatenate([c, c]))
             tables = {name: t for name, t in vars(st).items()
                       if isinstance(t, np.ndarray)}
             assert tables.keys() == {"E", "E2", "M", "f1", "f2", "f3",
                                      "w_l2", "w_dx"}
-            tiled = st._rows[2, len(c)][:6]
-            assert all(t.shape == (2, len(c), st.band.nb) for t in tiled)
+            shape, buffers = st._work
+            tiled = buffers[:6]
+            assert shape == (2, c.shape[1])
+            assert all(t.shape == (2, c.shape[1], st.band.nb) for t in tiled)
             tables.update((f"tiled {k}", t) for k, t in enumerate(tiled))
             for name, t in tables.items():
                 assert not t.flags.writeable, name
@@ -432,7 +437,7 @@ class TestInPlaceStep:
 
     def test_transforms_between_steps_leave_run_unchanged(self):
         # the stepper shares its band with to_grid and x_modes; neither
-        # may touch the product's scratch arrays
+        # may touch the stepper's workspace
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12, b=0.1)
         band = _band(g)
         u0 = random_field(g, seed=5) * 0.2
@@ -478,13 +483,13 @@ class TestStackedStep:
         g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
         for st, c in stepper_cases(g, seed=Nx + S, scale=0.1):
             singles = [(1.0 + 0.5 * s) * c for s in range(S)]
-            stack = np.stack(singles)
+            stack = np.concatenate(singles)
             for _ in range(20):
                 stack = st.step_erk4(stack)
                 singles = [st.step_erk4(c) for c in singles]
-                assert stack.shape == (S, *singles[0].shape)
+                assert stack.shape == (S, *singles[0].shape[1:])
                 assert stack.flags.c_contiguous
-                assert all(np.array_equal(a, c) for a, c in zip(stack, singles))
+                assert all(np.array_equal(a, c[0]) for a, c in zip(stack, singles))
 
 
 class TestParitySplit:
@@ -505,14 +510,14 @@ class TestParitySplit:
         g = StripGeometry(B=np.pi, Lx=Lx, Nx=Nx, Ny=Ny)
         st = Stepper(g, 1e-3)
         n_odd = st.band.n_odd
-        c = st.band.gather(0.1 * symmetric_coeffs(g, seed=Nx))
-        c_odd = c[:n_odd].copy()
+        c = st.band.gather(0.1 * symmetric_coeffs(g, seed=Nx))[None]
+        c_odd = c[:, :n_odd].copy()
         for _ in range(20):
             c, c_odd = st.step_erk4(c), st.step_erk4(c_odd)
-            assert c_odd.shape == (n_odd, st.band.nb)
+            assert c_odd.shape == (1, n_odd, st.band.nb)
             scale = np.max(np.abs(c_odd))
-            assert np.max(np.abs(c[:n_odd] - c_odd)) <= 1e-14 * scale
-            assert np.max(np.abs(c[n_odd:])) <= 1e-15 * scale
+            assert np.max(np.abs(c[:, :n_odd] - c_odd)) <= 1e-14 * scale
+            assert np.max(np.abs(c[:, n_odd:])) <= 1e-15 * scale
 
     def test_symmetric_run_steps_the_odd_block(self, monkeypatch):
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
@@ -530,13 +535,13 @@ class TestParitySplit:
         u0 = make_initial_field(
             InitialData(kind="gaussian_mode", amplitude=0.2, j=2), g).field
         st = _stepper(g, 1e-3, 0, True)
-        c = st.band.gather(u0.coeffs)
+        c = st.band.gather(u0.coeffs)[None]
         for _ in range(10):
             c = st.step_erk4(c)
         rows = step_rows(monkeypatch, st)
         got = final_field(u0, SolverConfig(dt=1e-3, t_end=0.01)).coeffs
         assert rows == [(1, st.band.nj)] * 10
-        assert np.array_equal(got, st.band.scatter(c))
+        assert np.array_equal(got, st.band.scatter(c[0]))
         assert got[:, 1].any()
 
 
@@ -654,7 +659,7 @@ class TestEvolve:
 
     def test_runs_in_turn_match_runs_one_after_the_other(self, monkeypatch):
         # an odd-block run (j = 1) and a full-band run (j = 2) on one
-        # geometry share the stepper and the band's scratch, row counts
+        # geometry share the stepper and its workspace, row counts
         # alternating from one step to the next
         g = StripGeometry(B=np.pi, Lx=8.0, Nx=64, Ny=12)
         u0s = [make_initial_field(
