@@ -82,8 +82,7 @@ def eigenvalue(j, B: float):
         raise ValueError(f"mode index must be >= 1, got {j}")
     if not 0 < B < math.inf:
         raise ValueError(f"strip width B must be positive and finite, got {B}")
-    lam = (j * np.pi / B) ** 2
-    return float(lam) if lam.ndim == 0 else lam
+    return (j * np.pi / B) ** 2
 
 
 def evaluate_mode(j: int, y, B: float):
@@ -95,6 +94,5 @@ def evaluate_mode(j: int, y, B: float):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > B):
         raise ValueError(f"y must lie in [0, {B}]")
-    vals = np.sqrt(2.0 / B) * np.sin(j * np.pi * y / B)
-    return float(vals) if vals.ndim == 0 else vals
+    return np.sqrt(2.0 / B) * np.sin(j * np.pi * y / B)
 

@@ -57,8 +57,7 @@ def linear_symbol(k, lam, convection: int = 0):
     """
     if np.any(np.asarray(lam) < 0):
         raise ValueError(f"eigenvalue must be >= 0, got {lam}")
-    sigma = -(k * k) + 1j * k * (k * k + lam - convection)
-    return complex(sigma) if np.ndim(sigma) == 0 else sigma
+    return -(k * k) + 1j * k * (k * k + lam - convection)
 
 
 @dataclass(frozen=True)

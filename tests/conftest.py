@@ -9,9 +9,14 @@ from scipy.fft import dst, irfft, rfft
 
 from zkbstrip import Field, StripGeometry, evolve, make_initial_field, run
 from zkbstrip.diagnostics import _moments, _modes
-from zkbstrip.fields import _band, random_blocks
+from zkbstrip.fields import _band, random_blocks, to_spectral
 from zkbstrip.solver import Stepper
 from zkbstrip.theory import _holds
+
+
+def from_values(geom, values):
+    """The Field of grid values (Nx, Ny) on geom."""
+    return Field(geom, to_spectral(values, geom))
 
 
 def zeros(geom):

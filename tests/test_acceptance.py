@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from zkbstrip import (
-    Field,
     InitialData,
     SolverConfig,
     StripGeometry,
@@ -36,6 +35,7 @@ from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 from conftest import (
     coupling_coefficient,
     final_field,
+    from_values,
     inequality,
     nonlinear_term,
     random_field,
@@ -121,14 +121,14 @@ def test_criterion_6_steklov_suite():
     x = SWEEP_GEOM.x_grid()
     profile = np.exp(-((x / 2.5) ** 2))
     w1 = evaluate_mode(1, SWEEP_GEOM.y_grid(), SWEEP_GEOM.B)
-    u1 = Field.from_values(SWEEP_GEOM, profile[:, None] * w1[None, :])
+    u1 = from_values(SWEEP_GEOM, profile[:, None] * w1[None, :])
     lhs, rhs, holds = inequality(steklov_sides, u1)
     assert holds and abs(lhs - rhs) <= 1e-10 * rhs
 
     # mode ratio 1/j^2
     for j in range(1, 9):
         wj = evaluate_mode(j, SWEEP_GEOM.y_grid(), SWEEP_GEOM.B)
-        uj = Field.from_values(SWEEP_GEOM, profile[:, None] * wj[None, :])
+        uj = from_values(SWEEP_GEOM, profile[:, None] * wj[None, :])
         res = inequality(steklov_sides, uj)
         assert abs(res.lhs - res.rhs / j**2) <= 1e-10 * res.rhs
 
@@ -165,7 +165,7 @@ def test_criterion_8_coupling_oracle_equivalence():
     geom = StripGeometry(B=math.pi, Lx=math.pi, Nx=48, Ny=512)
     x = geom.x_grid()
     w1 = evaluate_mode(1, geom.y_grid(), geom.B)
-    u = Field.from_values(geom, np.sin(x)[:, None] * w1[None, :])
+    u = from_values(geom, np.sin(x)[:, None] * w1[None, :])
     grid = to_grid(nonlinear_term(u).coeffs, geom)
     modal = reference_sine_coeffs(grid, geom, axis=1)
     target = 0.5 * np.sin(2 * x)

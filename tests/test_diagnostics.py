@@ -26,7 +26,7 @@ from zkbstrip.diagnostics import _modes, sample_field, weighted_sup
 from zkbstrip.fields import _Band, _band, quartic_samples, to_grid
 from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
-from conftest import dx, inequality, random_field, weighted_dy_sq, zeros
+from conftest import dx, from_values, inequality, random_field, weighted_dy_sq, zeros
 
 
 def gaussian_mode_field(geom, amplitude=1.0, s=1.0, j=1):
@@ -97,7 +97,7 @@ class TestTailMass:
         b, L = 0.15, 10.0
         g = StripGeometry(B=np.pi, Lx=L, Nx=1024, Ny=8, b=b)
         vals = np.ones((g.Nx, 1)) * evaluate_mode(1, g.y_grid(), g.B)[None, :]
-        u = Field.from_values(g, vals)
+        u = from_values(g, vals)
 
         def Iexp(lo, hi):
             return (math.exp(2 * b * hi) - math.exp(2 * b * lo)) / (2 * b)

@@ -23,6 +23,7 @@ from zkbstrip.theory import gn_sides
 
 from conftest import (
     dx,
+    from_values,
     inequality,
     random_field,
     reference_sine_values,
@@ -36,14 +37,23 @@ class TestFieldBasics:
     def test_round_trip(self, small_geom):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((small_geom.Nx, small_geom.Ny))
-        f = Field.from_values(small_geom, vals)
+        f = from_values(small_geom, vals)
         assert np.max(np.abs(to_grid(f.coeffs, small_geom) - vals)) < 1e-12
 
     def test_shape_errors(self, small_geom):
         with pytest.raises(ValueError):
-            Field.from_values(small_geom, np.zeros((3, 3)))
+            from_values(small_geom, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             Field(small_geom, np.zeros((3, 3), complex))
+
+    def test_coefficients_must_be_complex128(self, small_geom):
+        # a Field stores its coefficients as given, and its Parseval sums
+        # read them as interleaved real and imaginary parts
+        shape = (small_geom.Nx // 2 + 1, small_geom.Ny)
+        for c in (np.zeros(shape), np.zeros(shape, np.complex64),
+                  np.zeros(shape, complex).tolist()):
+            with pytest.raises(TypeError, match="complex128"):
+                Field(small_geom, c)
 
     def test_nonfinite_rejected(self, small_geom):
         c = np.zeros((small_geom.Nx // 2 + 1, small_geom.Ny), complex)
@@ -103,7 +113,7 @@ class TestDerivatives:
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=64, Ny=8)
         x = g.x_grid()
         w3 = evaluate_mode(3, g.y_grid(), g.B)
-        f = Field.from_values(g, np.sin(2 * x)[:, None] * w3[None, :])
+        f = from_values(g, np.sin(2 * x)[:, None] * w3[None, :])
         expected = 2 * np.cos(2 * x)[:, None] * w3[None, :]
         assert np.max(np.abs(to_grid(dx(f).coeffs, g) - expected)) < 1e-12
 
@@ -268,11 +278,16 @@ class TestInitialData:
         profile = np.exp(-(x**2)) if kind == "gaussian_mode" else np.sin(x)
         fld, _, _ = make_initial_field(
             InitialData(kind=kind, amplitude=1.0, s=1.0, k=1.0, j=j), g)
-        plain = Field.from_values(g, profile[:, None] * wj[None, :]).coeffs
+        plain = from_values(g, profile[:, None] * wj[None, :]).coeffs
         others = np.arange(g.Ny) != j - 1
         nb = band_shape(g)[0]
         assert not fld.coeffs[:, others].any() and not fld.coeffs[nb:].any()
         assert np.array_equal(fld.coeffs[:nb, j - 1], plain[:nb, j - 1])
+
+    def test_custom_samples_shape_checked(self, small_geom):
+        with pytest.raises(ValueError, match=r"value shape \(3, 3\) != \(128, 16\)"):
+            make_initial_field(
+                InitialData(kind="custom_samples", values=np.zeros((3, 3))), small_geom)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

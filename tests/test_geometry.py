@@ -143,6 +143,19 @@ class TestSineTransform:
             direct = reference_to_spectral(v, g)
             assert np.max(np.abs(to_spectral(v, g) - direct)) < 1e-13
 
+    def test_ny_512_matches_scipy_to_rounding(self):
+        # the sine matrix's arguments m*j, reduced modulo 2(Ny + 1), keep
+        # both directions within about 1e-15 of scipy's DST-I at Ny = 512,
+        # relative to the largest reference value (6e-14 unreduced)
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=16, Ny=512)
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((g.Nx, g.Ny))
+        want = reference_to_spectral(v, g)
+        assert np.max(np.abs(to_spectral(v, g) - want)) < 1e-14 * np.max(np.abs(want))
+        c = rng.standard_normal((9, g.Ny)) + 1j * rng.standard_normal((9, g.Ny))
+        want = reference_to_grid(c, g)
+        assert np.max(np.abs(to_grid(c, g) - want)) < 1e-14 * np.max(np.abs(want))
+
     def test_round_trip_preserves_length(self):
         for Ny in SINE_NYS:
             g = StripGeometry(B=2.0, Lx=1.0, Nx=6, Ny=Ny)

@@ -11,10 +11,12 @@ raises ``AssertionError``.
 import numpy as np
 import pytest
 
-from zkbstrip import fields, solver
+from zkbstrip import fields, solver, theory
 
 import test_diagnostics
+import test_geometry
 import test_solver
+import test_theory
 from conftest import LINEAR_ORACLE_BAR, linear_oracle_deviation
 
 _symbol = solver.linear_symbol
@@ -62,6 +64,13 @@ def _weight_rate_high(self, geom):
     self.w_x = self.w_x * np.exp(0.02 * geom.b * geom.x_grid())
 
 
+def _sines_unreduced(self, geom):
+    """The band's sine matrix at the unreduced arguments pi*m*j/(Ny + 1)."""
+    _band_init(self, geom)
+    m = np.arange(1, geom.Ny + 1)
+    self.sines = np.sin(np.pi * np.outer(m, m) / (geom.Ny + 1))
+
+
 def linear_oracle_holds():
     return linear_oracle_deviation() < LINEAR_ORACLE_BAR
 
@@ -103,6 +112,12 @@ ROWS = [
     ("weight-rate-2.02b-in-_Band.w_x", (fields._Band, "__init__", _weight_rate_high),
      passes(lambda mp: test_diagnostics.TestWeightedInner()
             .test_gaussian_closed_form())),
+    ("gn-constant-below-sharp", (theory, "GN_CONSTANT", 0.35),
+     passes(lambda mp: test_theory.TestGagliardoNirenberg()
+            .test_round_gaussian_ratio(128, 32, 0.3, 0.0))),
+    ("sine-matrix-at-unreduced-arguments", (fields._Band, "__init__", _sines_unreduced),
+     passes(lambda mp: test_geometry.TestSineTransform()
+            .test_ny_512_matches_scipy_to_rounding())),
 ]
 
 

@@ -94,3 +94,25 @@ def test_unit_suite_takes_no_reference_run():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 found.append(f"{path.name}:{node.lineno} paper_ref_run()")
     assert found == []
+
+
+def test_benchmark_calls_resolve():
+    """Every attribute that perfbench/*.py reads off a module it imports
+    from zkbstrip (``cli.main``, ``fields.make_initial_field``, ...)
+    resolves in the package, so dropping a name the benchmark calls fails
+    here and not as a benchmark run whose every call fails."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    refs, stale = set(), []
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "zkbstrip"
+                   for alias in node.names}
+        refs |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in modules}
+    for module, name in sorted(refs):
+        if not hasattr(importlib.import_module(f"zkbstrip.{module}"), name):
+            stale.append(f"{module}.{name}")
+    assert {module for module, _ in refs} == {"cli", "diagnostics", "fields", "solver"}
+    assert stale == []

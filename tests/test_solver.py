@@ -32,6 +32,7 @@ from conftest import (
     LINEAR_ORACLE_BAR,
     coupling_coefficient,
     final_field,
+    from_values,
     linear_oracle_deviation,
     nonlinear_term,
     random_field,
@@ -205,7 +206,7 @@ class TestNonlinearTerm:
         g = StripGeometry(B=np.pi, Lx=np.pi, Nx=48, Ny=128)
         x = g.x_grid()
         w1 = evaluate_mode(1, g.y_grid(), g.B)
-        u = Field.from_values(g, np.sin(x)[:, None] * w1[None, :])
+        u = from_values(g, np.sin(x)[:, None] * w1[None, :])
         grid = to_grid(nonlinear_term(u).coeffs, g)
         modal = reference_sine_coeffs(grid, g, axis=1)
         target = 0.5 * np.sin(2 * x)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zkbstrip import (
-    Field,
     InitialData,
     StripGeometry,
     check_smallness,
@@ -20,7 +19,7 @@ from zkbstrip.diagnostics import _moments, _modes
 from zkbstrip.fields import quartic_samples, to_grid
 from zkbstrip.theory import gn_sides, steklov_sides, sup_sides
 
-from conftest import dx, inequality, random_field, weighted_dy_sq, zeros
+from conftest import dx, from_values, inequality, random_field, weighted_dy_sq, zeros
 
 VERIF_GEOM = StripGeometry(B=np.pi, Lx=10.0, Nx=256, Ny=32, b=0.1)
 
@@ -96,7 +95,7 @@ def single_mode_field(j, geom=VERIF_GEOM, profile=None):
     x = geom.x_grid()
     phi = profile if profile is not None else np.exp(-((x / 3.0) ** 2))
     wj = evaluate_mode(j, geom.y_grid(), geom.B)
-    return Field.from_values(geom, phi[:, None] * wj[None, :])
+    return from_values(geom, phi[:, None] * wj[None, :])
 
 
 class TestSteklov:
@@ -136,6 +135,22 @@ class TestGagliardoNirenberg:
         assert l4sq == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
         assert 2 * l2 * grad == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-10)
         assert l4sq <= 2 * l2 * grad
+
+    @pytest.mark.parametrize("Nx, Ny, s, b", [
+        (128, 32, 0.3, 0.0), (128, 32, 0.4, 0.2), (192, 48, 0.25, 0.1),
+        (256, 64, 0.4, 0.0)])
+    def test_round_gaussian_ratio(self, Nx, Ny, s, b):
+        # exp(-(x^2 + (y - B/2)^2)/s^2), resolved on its grid and below
+        # 1e-6 of its peak at the walls: on the plane ||u||_{L4}^2 =
+        # s*sqrt(pi)/2, ||u|| = s*sqrt(pi/2) and ||grad u|| = sqrt(pi), so
+        # lhs/rhs = 1/(2*sqrt(2*pi)) with the constant 2 (measured within
+        # 5e-13 on these grids), and 1.14 with 0.35, below the sharp 0.413
+        g = StripGeometry(B=np.pi, Lx=np.pi, Nx=Nx, Ny=Ny, b=b)
+        x, y = g.x_grid()[:, None], g.y_grid()[None, :]
+        u = from_values(g, np.exp(-(x**2 + (y - g.B / 2) ** 2) / s**2))
+        res = inequality(gn_sides, u)
+        assert res.lhs / res.rhs == pytest.approx(
+            1.0 / (2.0 * math.sqrt(2.0 * math.pi)), rel=1e-10, abs=0.0)
 
     def test_random_sweep(self):
         for seed in range(20):
