@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import datetime
 import functools
@@ -378,7 +379,11 @@ def read_manifest(out: Path) -> dict:
             raise ConfigError(f"{path} has no {key!r} key")
     if not isinstance(manifest["files"], dict):
         raise ConfigError(f"{path}: 'files' is not a JSON object")
+    if "series.csv" not in manifest["files"]:  # every run directory has one
+        raise ConfigError(f"{path} does not list series.csv")
     for name, meta in manifest["files"].items():
+        if Path(name).name != name or name in ("", ".."):
+            raise ConfigError(f"{path} names {name!r}, not a plain file name")
         if not isinstance(meta, dict) or "sha256" not in meta:
             raise ConfigError(f"{path} has no 'sha256' key for {name}")
         if _sha256(out / name) != meta["sha256"]:
@@ -559,42 +564,38 @@ def cmd_verify(args) -> int:
 
 # -- sweep ----------------------------------------------------------------
 
-def _sweep_cell(template_json: str, B: float, amp_frac: float, out_dir: str):
-    """One sweep cell; returns a summary row dict (runs in a worker)."""
-    template = parse_config(template_json)
+# The columns of summary.csv, in the order of the row a sweep cell returns
+SWEEP_COLUMNS = ("B", "amp_frac", "u0_norm", "threshold", "within_threshold",
+                 "chi", "status", "fitted_rate", "compliant")
+
+
+def _sweep_cell(template: RunConfig, B: float, amp_frac: float, out_dir: str):
+    """One sweep cell; returns its summary row (runs in a worker)."""
     consts = constants_for_width(B)
     regime = template.experiment.thresholds
     u0_norm = amp_frac * (consts.weak_threshold if regime == "weak"
                           else consts.reg_threshold)
     verdict = check_smallness(u0_norm, B, regime)
-    doc = json.loads(template_json)
-    doc["geometry"]["B"] = B
-    doc.setdefault("initial", {})["target_l2_norm"] = u0_norm
-    config = parse_config(json.dumps(doc))
+    raw = template.raw
+    config = parse_config(json.dumps({
+        **raw, "geometry": {**raw["geometry"], "B": B},
+        "initial": {**raw.get("initial", {}), "target_l2_norm": u0_norm}}))
 
-    row = {
-        "B": B,
-        "amp_frac": amp_frac,
-        "u0_norm": u0_norm,
-        "threshold": verdict.threshold,
-        "within_threshold": verdict.ok,
-        "chi": consts.chi,
-        "status": "",
-        "fitted_rate": math.nan,
-    }
-    passed = False  # a cell that blows up or errors fails
+    status, rate, passed = "", math.nan, False  # blow-up or error: fail
     try:
         series, _ = _execute_run(config, Path(out_dir))
-        row["status"] = series.status
+        status = series.status
         fit, _, passed = _fit_decay(series, config, "w_l2")
-        row["fitted_rate"] = fit.rate
+        rate = fit.rate
     except BlowUpError:
-        row["status"] = "blow-up"
+        status = "blow-up"
     except ValueError as exc:
-        row["status"] = f"error: {exc}"
-    row["compliant"] = ("outside theorem scope" if not verdict.ok
-                        else "pass" if passed else "fail")
-    return row
+        status = f"error: {exc}"
+    return [*map(fmt, (B, amp_frac, u0_norm, verdict.threshold)),
+            str(verdict.ok).lower(), fmt(consts.chi), status,
+            fmt(rate) if math.isfinite(rate) else "nan",
+            "outside theorem scope" if not verdict.ok
+            else "pass" if passed else "fail"]
 
 
 def cmd_sweep(args) -> int:
@@ -613,45 +614,22 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    template_json = json.dumps(template.raw)
 
-    cells = [
-        (B, amp, str(out / f"cell_B{idx_b}_a{idx_a}"))
-        for idx_b, B in enumerate(widths)
-        for idx_a, amp in enumerate(amps)
-    ]
+    cells = [(B, amp, str(out / f"cell_B{i}_a{j}"))
+             for i, B in enumerate(widths) for j, amp in enumerate(amps)]
     # no more worker processes than cells: the pool starts them all at once
     workers = min(args.workers, len(cells))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(
-                _sweep_cell,
-                [template_json] * len(cells),
-                [c[0] for c in cells],
-                [c[1] for c in cells],
-                [c[2] for c in cells],
-            ))
-    else:
-        rows = [_sweep_cell(template_json, B, amp, d) for B, amp, d in cells]
+    with (concurrent.futures.ProcessPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        rows = list((pool.map if pool else map)(
+            functools.partial(_sweep_cell, template), *zip(*cells)))
 
     # the csv module quotes an error status that holds commas
     text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["B", "amp_frac", "u0_norm", "threshold",
-                     "within_threshold", "chi", "status", "fitted_rate",
-                     "compliant"])
-    for r in rows:
-        writer.writerow([
-            fmt(r["B"]), fmt(r["amp_frac"]), fmt(r["u0_norm"]),
-            fmt(r["threshold"]), str(r["within_threshold"]).lower(),
-            fmt(r["chi"]), r["status"],
-            fmt(r["fitted_rate"]) if math.isfinite(r["fitted_rate"]) else "nan",
-            r["compliant"],
-        ])
+    csv.writer(text, lineterminator="\n").writerows([SWEEP_COLUMNS, *rows])
     (out / "summary.csv").write_text(text.getvalue(), encoding="utf-8")
     print(text.getvalue(), end="")
-    failed = any(r["compliant"] == "fail" for r in rows)
-    return EXIT_USAGE if failed else EXIT_OK
+    return EXIT_USAGE if any(row[-1] == "fail" for row in rows) else EXIT_OK
 
 
 # -- continuous dependence -------------------------------------------------
@@ -724,10 +702,10 @@ def cmd_cdep(args) -> int:
             print(f"blow-up at t = {exc.t:.6g} during continuous-dependence"
                   " runs", file=sys.stderr)
             return EXIT_BLOWUP
-    print(json.dumps(report, indent=2))
+    text = json.dumps(report, indent=2)
+    print(text)
     if args.out:
-        (Path(args.out) / "cdep.json").write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        (Path(args.out) / "cdep.json").write_text(text + "\n", encoding="utf-8")
     return EXIT_OK if report.get("stable", True) else EXIT_USAGE
 
 
@@ -762,8 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_simulate)
 
     pv = sub.add_parser("verify", help="property-test suites")
-    pv.add_argument("--suite", required=True,
-                    choices=["energy", "steklov", "gn", "sup"])
+    pv.add_argument("--suite", required=True, choices=["energy", *_CORPUS_SUITES])
     pv.add_argument("--samples", type=int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_verify)

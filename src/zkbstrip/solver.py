@@ -36,6 +36,7 @@ shape of the stack last stepped, and allocates only its result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,14 +78,16 @@ class SolverConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        # run counts steps to t_end and samples at multiples of output_every
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be >= 0 and finite, got {self.t_end}")
         if self.convection not in (0, 1):
             raise ValueError(f"convection flag must be 0 or 1, got {self.convection}")
-        if self.output_every < 1:
-            raise ValueError(f"output_every must be >= 1, got {self.output_every}")
+        if not isinstance(self.output_every, numbers.Integral) or self.output_every < 1:
+            raise ValueError(
+                f"output_every must be an integer >= 1, got {self.output_every}")
 
 
 class BlowUpError(RuntimeError):

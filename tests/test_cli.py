@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -508,6 +509,14 @@ def _without(*keys):
     return _manifest_edit(edit)
 
 
+def _outside_entry(out):
+    """Run-directory damage: the manifest also lists ../x, a file outside
+    the run directory whose checksum matches."""
+    (out.parent / "x").write_text("x\n")
+    _manifest_edit(lambda m: {**m, "files": {
+        **m["files"], "../x": {"sha256": hashlib.sha256(b"x\n").hexdigest()}}})(out)
+
+
 def _append_last_row(out):
     """Run-directory damage: a series.csv that still parses, but is not
     the file the manifest's checksum was taken of."""
@@ -532,8 +541,11 @@ class TestMalformedManifest:
         (_without("files", "series.csv", "sha256"),
          "no 'sha256' key for series.csv"),
         (_append_last_row, "checksum mismatch for series.csv"),
+        (_without("files", "series.csv"), "does not list series.csv"),
+        (_outside_entry, "names '../x', not a plain file name"),
     ], ids=["not-an-object", "no-status", "no-config", "no-files",
-            "files-not-an-object", "no-sha256", "tampered-series"])
+            "files-not-an-object", "no-sha256", "tampered-series",
+            "series-not-listed", "file-outside-run"])
     def test_fit_decay_names_the_problem(self, small_run_dir, tmp_path, capsys,
                                          damage, message):
         out = tmp_path / "run"
@@ -545,6 +557,17 @@ class TestMalformedManifest:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
         with pytest.raises(ConfigError, match=message):
+            read_manifest(out)
+
+    @pytest.mark.parametrize("name", ["", "..", "/x"])
+    def test_only_plain_file_names(self, small_run_dir, tmp_path, name):
+        # "" and ".." are their own Path.name, but name the run directory
+        # and its parent
+        out = tmp_path / "run"
+        shutil.copytree(small_run_dir, out)
+        _manifest_edit(lambda m: {**m, "files": {
+            **m["files"], name: {"sha256": "0" * 64}}})(out)
+        with pytest.raises(ConfigError, match="not a plain file name"):
             read_manifest(out)
 
     def test_fit_decay_rejects_undealiased_run(self, small_run_dir, tmp_path,
@@ -866,6 +889,38 @@ class TestSweepCommand:
         text = (out / "summary.csv").read_text()
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[1][6:] == ["blow-up", "nan", "outside theorem scope"]
+
+    def test_pool_of_two_matches_in_process_for_custom_samples(self, tmp_path):
+        # a real pool of 2 processes: the template RunConfig, with its
+        # ndarray of samples, reaches the workers through the cell's partial
+        geom = StripGeometry(B=math.pi, Lx=12.0, Nx=128, Ny=16)
+        values = np.outer(np.exp(-(geom.x_grid() / 1.5) ** 2),
+                          np.sin(np.pi * geom.y_grid() / geom.B))
+        doc = base_doc(solver={"t_end": 0.2, "output_every": 10},
+                       initial={"kind": "custom_samples", "values": values.tolist()})
+        cfg_path = write_config(tmp_path, doc)
+        outs = {w: tmp_path / f"workers{w}" for w in ("1", "2")}
+        for w, out in outs.items():
+            main(["sweep", "--config", cfg_path, "--B", str(math.pi),
+                  "--amps", "0.5,0.9", "--out", str(out), "--workers", w])
+        one, two = ((out / "summary.csv").read_text() for out in outs.values())
+        assert one == two
+        assert [row.split(",")[-3::2] for row in one.splitlines()[1:]] == [
+            ["clean", "pass"]] * 2  # the custom samples ran, and were fitted
+        for cell in ("cell_B0_a0", "cell_B0_a1"):
+            assert ((outs["1"] / cell / "series.csv").read_bytes()
+                    == (outs["2"] / cell / "series.csv").read_bytes())
+
+    def test_one_config_parse_per_cell(self, tmp_path, monkeypatch):
+        # the template once, then each cell's own config once
+        texts = []
+        parse = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda text: texts.append(text) or parse(text))
+        cfg_path = write_config(tmp_path, base_doc(solver={"t_end": 0.05}))
+        main(["sweep", "--config", cfg_path, "--B", str(math.pi),
+              "--amps", "0.5,0.9,1.1", "--out", str(tmp_path / "sweep")])
+        assert len(texts) == 1 + 3
 
     def test_parallel_workers_match_serial(self, tmp_path):
         doc = base_doc(solver={"t_end": 0.5, "output_every": 10})

@@ -116,3 +116,50 @@ def test_benchmark_calls_resolve():
             stale.append(f"{module}.{name}")
     assert {module for module, _ in refs} == {"cli", "diagnostics", "fields", "solver"}
     assert stale == []
+
+
+# Names that a framework calls and no package code reads: argparse calls
+# error on a usage error
+CALLED_BY_FRAMEWORKS = {"cli._ArgumentParser.error"}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_module_name_is_read():
+    """Every module-level function, class and constant, and every method
+    but the dunders, of each module but ``__init__`` is read by package
+    code or named in ``zkbstrip.__all__``: a name that only tests call is
+    public API to drop.  A read is any loaded name or attribute of that
+    name, in any module."""
+    src = Path(zkbstrip.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    read = set(zkbstrip.__all__)
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                names = []
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+            defined += [f"{module}.{name}" for name in names
+                        if not _is_dunder(name.rsplit(".", 1)[-1])]
+    assert len(defined) > 100  # the walk still finds the package's names
+    unread = {name for name in defined if name.rsplit(".", 1)[-1] not in read}
+    assert unread == CALLED_BY_FRAMEWORKS

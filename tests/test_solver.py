@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,20 @@ class TestConfigValidation:
             SolverConfig(dt=0.1, t_end=1.0, convection=2)
         with pytest.raises(ValueError):
             SolverConfig(dt=0.1, t_end=1.0, output_every=0)
+
+    # no sample step is ever hit at output_every=1.5, so run would step
+    # past t_end forever; a non-finite dt or t_end has no step count
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"output_every": 1.5}, "output_every must be an integer"),
+        ({"output_every": 2.0}, "output_every must be an integer"),
+        ({"t_end": math.inf}, "t_end must be >= 0 and finite"),
+        ({"t_end": math.nan}, "t_end must be >= 0 and finite"),
+        ({"dt": math.inf}, "dt must be positive and finite"),
+    ], ids=["fractional-output-every", "float-output-every", "infinite-t-end",
+            "nan-t-end", "infinite-dt"])
+    def test_values_run_cannot_finish(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{"dt": 1e-2, "t_end": 0.05, **kwargs})
 
     def test_dispersion_guard(self):
         g = StripGeometry(B=np.pi, Lx=10.0, Nx=512, Ny=8)
